@@ -11,8 +11,13 @@ import "repro/internal/invariant"
 const BeatBytes = 16
 
 // Memory is the byte-addressable off-chip main memory.
+//
+// It keeps a write high-water mark: every byte at or above hw is zero.
+// Write and WriteBeat are the only mutators and raise the mark; ZeroFrom
+// lowers it. The invariant lets ZeroFrom clear only what was written.
 type Memory struct {
 	data []byte
+	hw   int64
 }
 
 // NewMemory allocates size bytes of main memory.
@@ -33,6 +38,7 @@ func (m *Memory) ReadBeat(addr int64, dst *[BeatBytes]byte) {
 func (m *Memory) WriteBeat(addr int64, src *[BeatBytes]byte) {
 	m.check(addr, BeatBytes)
 	copy(m.data[addr:addr+BeatBytes], src[:])
+	m.raise(addr + BeatBytes)
 }
 
 // Read copies n bytes at addr (CPU-style access).
@@ -47,6 +53,31 @@ func (m *Memory) Read(addr int64, n int) []byte {
 func (m *Memory) Write(addr int64, b []byte) {
 	m.check(addr, len(b))
 	copy(m.data[addr:addr+int64(len(b))], b)
+	m.raise(addr + int64(len(b)))
+}
+
+// ZeroFrom clears memory from addr to the end. Only [addr, hw) can hold a
+// nonzero byte, so the cost is proportional to what was written there, not
+// to the memory size, and nothing is allocated. An addr at or past Size is a
+// no-op.
+//
+//vet:hotpath
+func (m *Memory) ZeroFrom(addr int64) {
+	if addr < 0 {
+		invariant.Failf("mem", "ZeroFrom at negative address %d", addr)
+	}
+	if addr >= m.hw {
+		return
+	}
+	clear(m.data[addr:m.hw])
+	m.hw = addr
+}
+
+// raise lifts the high-water mark to cover a write ending at end.
+func (m *Memory) raise(end int64) {
+	if end > m.hw {
+		m.hw = end
+	}
 }
 
 // View returns a bounds-checked window over the backing store without
@@ -56,9 +87,6 @@ func (m *Memory) View(addr int64, n int) []byte {
 	m.check(addr, n)
 	return m.data[addr : addr+int64(n) : addr+int64(n)]
 }
-
-// Bytes exposes the backing store (testbench backdoor).
-func (m *Memory) Bytes() []byte { return m.data }
 
 func (m *Memory) check(addr int64, n int) {
 	if addr < 0 || addr+int64(n) > int64(len(m.data)) {

@@ -213,9 +213,11 @@ func (s *Server) respill(t *task) {
 // consumes both the respill queue and the main dispatch queue — so when the
 // whole device fleet is quarantined the service keeps answering, just
 // slower, and when the fleet is healthy the tiers share the load
-// work-conservingly.
+// work-conservingly. Each worker keeps its own soc.SoftwareAligner, so the
+// WFA machinery is built once per worker, not once per pair.
 func (s *Server) softwareLoop() {
 	defer s.swWG.Done()
+	sw := soc.NewSoftwareAligner(s.cfg.Core)
 	dispatch, spill := s.dispatch, s.spill
 	for dispatch != nil || spill != nil {
 		select {
@@ -225,28 +227,28 @@ func (s *Server) softwareLoop() {
 				continue
 			}
 			for _, t := range b.tasks {
-				s.runSoftwareTask(t)
+				s.runSoftwareTask(sw, t)
 			}
 		case t, ok := <-spill:
 			if !ok {
 				spill = nil
 				continue
 			}
-			s.runSoftwareTask(t)
+			s.runSoftwareTask(sw, t)
 		}
 	}
 }
 
-// runSoftwareTask answers one pair with the pure-software WFA —
-// soc.SoftwareAlign, the same function the resilient fallback and the
+// runSoftwareTask answers one pair with the pure-software WFA — the
+// worker's soc.SoftwareAligner, the same rule the resilient fallback and the
 // VerifyScores oracle use, which is what makes the software tier
 // answer-for-answer interchangeable with the hardware path.
-func (s *Server) runSoftwareTask(t *task) {
+func (s *Server) runSoftwareTask(sw *soc.SoftwareAligner, t *task) {
 	if t.expired() {
 		s.resolveTask(t, outcome{deadline: true})
 		return
 	}
-	res, _ := soc.SoftwareAlign(s.cfg.Core, t.pair, t.backtrace)
+	res, _ := sw.Align(t.pair, t.backtrace)
 	s.metrics.FallbackPairs.Add(1)
 	s.resolveTask(t, outcome{res: soc.PairOutcome{ID: t.pair.ID, Result: res}})
 }

@@ -229,7 +229,7 @@ type verifier struct {
 	bounds    integrity.Bounds
 }
 
-// pairSupported mirrors SoftwareAlign's unsupported predicate: the
+// pairSupported is SoftwareAlign's unsupported-pair rule: the
 // software-visible notion of "the hardware can process this pair at all".
 func pairSupported(cfg core.Config, p seqio.Pair) bool {
 	return len(p.A) <= cfg.MaxReadLenCap && len(p.B) <= cfg.MaxReadLenCap &&
@@ -325,7 +325,7 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 			rep.Attempts++
 			// Kill stale bytes from earlier attempts so a truncated stream
 			// reads as padding, never as a previous attempt's records.
-			s.zeroFrom(int64(outputAddr))
+			s.Memory.ZeroFrom(int64(outputAddr))
 			hangsBefore := rep.HangErrors
 			ok, fatal := s.runAttempt(ctx, set, job, opts, v, p.maxCycles, byID, sw, accepted, &acceptedCount, rep)
 			if fatal != nil {
@@ -686,9 +686,10 @@ func (s *SoC) software(i int, p seqio.Pair, withCIGAR bool, sw []swResult) swRes
 	return sw[i]
 }
 
-// alignSoftware reproduces the accelerator's semantics in software.
+// alignSoftware reproduces the accelerator's semantics in software, on the
+// SoC's own reusable aligners.
 func (s *SoC) alignSoftware(p seqio.Pair, withCIGAR bool) swResult {
-	res, stats := SoftwareAlign(s.Cfg, p, withCIGAR)
+	res, stats := s.sw.Align(p, withCIGAR)
 	return swResult{res: res, stats: stats}
 }
 
@@ -698,16 +699,44 @@ func (s *SoC) alignSoftware(p seqio.Pair, withCIGAR bool) swResult {
 // hardware's k_max window. It is the one definition of "the right answer"
 // shared by the resilient fallback, the VerifyScores oracle and the
 // software-worker tier of internal/serve — which is what makes the hardware
-// and software paths interchangeable pair-by-pair.
+// and software paths interchangeable pair-by-pair. It is a one-shot wrapper
+// over SoftwareAligner; code that aligns many pairs should keep a
+// SoftwareAligner instead.
 func SoftwareAlign(cfg core.Config, p seqio.Pair, withCIGAR bool) (align.Result, cpumodel.WFAStats) {
-	if len(p.A) > cfg.MaxReadLenCap || len(p.B) > cfg.MaxReadLenCap ||
-		seqio.ValidateSequence(p.A) != nil || seqio.ValidateSequence(p.B) != nil {
+	return NewSoftwareAligner(cfg).Align(p, withCIGAR)
+}
+
+// SoftwareAligner is SoftwareAlign with reusable WFA machinery: it holds one
+// score-only and one CIGAR wfa.Aligner for its Config, each built on first
+// use, so a long-lived caller stops paying for aligner construction and
+// reaches the wfa package's allocation-free score-only steady state. It is
+// not safe for concurrent use; give each goroutine its own.
+type SoftwareAligner struct {
+	cfg   core.Config
+	score *wfa.Aligner
+	cigar *wfa.Aligner
+}
+
+// NewSoftwareAligner returns a SoftwareAligner for cfg. No aligner is built
+// until the first pair of each mode.
+func NewSoftwareAligner(cfg core.Config) *SoftwareAligner {
+	return &SoftwareAligner{cfg: cfg}
+}
+
+// Align is SoftwareAlign for one pair on the reused aligners: the same
+// unsupported-pair rule, the same result and the same stats.
+//
+//vet:hotpath
+func (sa *SoftwareAligner) Align(p seqio.Pair, withCIGAR bool) (align.Result, cpumodel.WFAStats) {
+	if !pairSupported(sa.cfg, p) {
 		return align.Result{Success: false}, cpumodel.WFAStats{}
 	}
-	res, st, err := wfa.Align(p.A, p.B, cfg.Penalties, wfa.Options{WithCIGAR: withCIGAR, MaxK: cfg.KMax})
-	if err != nil {
+	al := sa.aligner(withCIGAR)
+	if al == nil {
 		return align.Result{Success: false}, cpumodel.WFAStats{}
 	}
+	res := al.Run(p.A, p.B)
+	st := al.Stats
 	return res, cpumodel.WFAStats{
 		ScoreSteps:     st.ScoreSteps,
 		CellsComputed:  st.CellsComputed,
@@ -717,11 +746,20 @@ func SoftwareAlign(cfg core.Config, p seqio.Pair, withCIGAR bool) (align.Result,
 	}
 }
 
-// zeroFrom clears main memory from addr to the end.
-func (s *SoC) zeroFrom(addr int64) {
-	n := s.Memory.Size() - int(addr)
-	if n <= 0 {
-		return
+// aligner returns the reused aligner for the mode, building it on first
+// use. It returns nil when the Config's penalties are invalid; Align then
+// reports the pair as failed.
+func (sa *SoftwareAligner) aligner(withCIGAR bool) *wfa.Aligner {
+	slot := &sa.score
+	if withCIGAR {
+		slot = &sa.cigar
 	}
-	s.Memory.Write(addr, make([]byte, n))
+	if *slot == nil {
+		al, err := wfa.New(sa.cfg.Penalties, wfa.Options{WithCIGAR: withCIGAR, MaxK: sa.cfg.KMax})
+		if err != nil {
+			return nil
+		}
+		*slot = al
+	}
+	return *slot
 }

@@ -24,6 +24,9 @@ type SoC struct {
 	// Faults is the fault injector attached via EnableFaults (nil when the
 	// fault layer is disabled; all uses are nil-safe).
 	Faults *fault.Injector
+
+	// sw serves the resilient fallback and the shadow oracle.
+	sw *SoftwareAligner
 }
 
 // inputBase leaves the bottom of memory for the "OS" (flavor only).
@@ -41,6 +44,7 @@ func New(cfg core.Config, memBytes int) (*SoC, error) {
 		Machine: m,
 		Driver:  NewDriver(m),
 		Costs:   cpumodel.DefaultCosts(),
+		sw:      NewSoftwareAligner(cfg),
 	}, nil
 }
 
