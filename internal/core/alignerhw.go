@@ -84,13 +84,13 @@ type AlignerHW struct {
 	unsupported bool
 	btEnabled   bool
 
-	// Run state. tracker and ring are caches that outlive a pair: both are
-	// reset, not reallocated, when the next pair starts, and dead wavefronts
-	// recycle through pool, so the steady state of a job stream allocates
-	// nothing per pair.
+	// Run state. tracker and win are caches that outlive a pair: both are
+	// reset, not reallocated, when the next pair starts, so the steady state
+	// of a job stream allocates nothing per pair. win holds the Wavefront
+	// RAMs: the dependency window of padded rows the shared kernel
+	// (wfa.Window.Step) computes into.
 	tracker  *RangeTracker
-	ring     *wfRing
-	pool     wfa.Pool
+	win      wfa.Window
 	s        int
 	scoreMax int
 	busy     int64
@@ -141,11 +141,7 @@ func (a *AlignerHW) Reset() {
 	a.pairID = 0
 	a.unsupported = false
 	a.btEnabled = false
-	// tracker and ring are kept as caches for the next pair; the ring's
-	// wavefronts go back to the pool.
-	if a.ring != nil {
-		a.ring.reset()
-	}
+	// tracker and win are kept as caches for the next pair.
 	a.s = 0
 	a.busy = 0
 	a.finished = false
@@ -195,25 +191,15 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 	} else {
 		a.tracker.Reset(a.cfg.Penalties, n, m, a.cfg.KMax)
 	}
-	window := a.cfg.Penalties.GapOpen + a.cfg.Penalties.GapExtend
-	if a.cfg.Penalties.Mismatch > window {
-		window = a.cfg.Penalties.Mismatch
-	}
-	if a.ring == nil || a.ring.window != window+1 {
-		a.ring = newWFRing(window+1, &a.pool)
-	} else {
-		a.ring.reset()
-	}
+	a.win.Reset(n, m, a.cfg.KMax, a.cfg.Penalties)
 
 	// Score 0: the initial cell M~(0,0) = 0, extended.
-	m0 := a.pool.Acquire(0, 0)
-	m0.Set(0, 0, wfa.MTagNone)
+	m0 := a.win.Init()
 	ext := ExtendDiag(seqA, seqB, 0, 0)
-	m0.Set(0, int32(ext.Matches), wfa.MTagNone)
+	m0.SetCell(0, wfa.Pack(int32(ext.Matches), wfa.MTagNone))
 	a.Stats.CellsExtended++
 	a.Stats.ExtendBlocks += int64(ext.Blocks)
 	a.Stats.ExtendCycles += int64(a.cfg.Timing.ExtendFill + ext.Blocks)
-	a.ring.put(0, nil, nil, m0)
 	a.busy = int64(a.cfg.Timing.StartupCycles + a.cfg.Timing.ExtendFill + ext.Blocks)
 	if a.isDone(m0) {
 		a.success = true
@@ -224,8 +210,7 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 
 // isDone checks the termination condition against the loaded pair.
 func (a *AlignerHW) isDone(mwf *wfa.Wavefront) bool {
-	alignK := a.seqB.Length - a.seqA.Length
-	return mwf.Valid(alignK) && mwf.At(alignK) >= int32(a.seqB.Length)
+	return mwf.Reached(a.seqB.Length-a.seqA.Length, int32(a.seqB.Length))
 }
 
 // TakeOutput pops the oldest outbox entry (Collector side). Draining
@@ -300,11 +285,6 @@ func (a *AlignerHW) emitResult(cycle int64) {
 	a.finishCycle = cycle
 	a.state = alignerDraining
 	a.seqA, a.seqB = nil, nil
-	// tracker and ring stay cached for the next pair; recycle the window.
-	// (ring is nil when the very first pair was unsupported.)
-	if a.ring != nil {
-		a.ring.reset()
-	}
 }
 
 // advanceScore processes the next candidate score.
@@ -318,13 +298,13 @@ func (a *AlignerHW) advanceScore(cycle int64) {
 		a.busy = 1
 		return
 	}
-	iR, dR, mR := a.tracker.Extend(a.s)
+	_, _, mR := a.tracker.Extend(a.s)
 	if mR.Empty() {
 		a.Stats.EmptySteps++
 		a.busy = int64(a.cfg.Timing.EmptyStepCycles)
 		return
 	}
-	cycles := a.executeStep(cycle, a.s, iR, dR, mR)
+	cycles := a.executeStep(cycle, a.s, mR)
 	a.Stats.Steps++
 	a.busy = cycles - 1
 	if a.busy < 0 {
@@ -332,89 +312,17 @@ func (a *AlignerHW) advanceScore(cycle int64) {
 	}
 }
 
-// executeStep computes the frame column for score s (Compute sub-modules),
-// extends it (Extend sub-modules), emits the backtrace blocks, checks
-// termination, and returns the step's cycle cost.
-func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
-	pen := a.cfg.Penalties
-	x, o, e := pen.Mismatch, pen.GapOpen, pen.GapExtend
+// executeStep computes the frame column for score s (Compute sub-modules,
+// the shared wfa kernel), extends it (Extend sub-modules), emits the
+// backtrace blocks, checks termination, and returns the step's cycle cost.
+func (a *AlignerHW) executeStep(cycle int64, s int, mR Range) int64 {
 	n, m := a.seqA.Length, a.seqB.Length
-
-	srcMx := a.ring.get(wfa.CompM, s-x)
-	srcMoe := a.ring.get(wfa.CompM, s-o-e)
-	srcIe := a.ring.get(wfa.CompI, s-e)
-	srcDe := a.ring.get(wfa.CompD, s-e)
-
-	// Compute I~(s).
-	var iwf *wfa.Wavefront
-	if !iR.Empty() {
-		iwf = a.pool.Acquire(iR.Lo, iR.Hi)
-		for k := iR.Lo; k <= iR.Hi; k++ {
-			open := srcMoe.At(k - 1)
-			ext := srcIe.At(k - 1)
-			v, tag := open, wfa.GTagOpen
-			if ext > open {
-				v, tag = ext, wfa.GTagExt
-			}
-			if wfa.ValidOffset(v) {
-				v = trimOffset(v+1, k, n, m)
-			}
-			if wfa.ValidOffset(v) {
-				iwf.Set(k, v, tag)
-			}
-		}
+	iwf, dwf, mwf := a.win.Step(s, a.cfg.Penalties)
+	if mwf.Lo != mR.Lo || mwf.Hi != mR.Hi {
+		invariant.Failf("core", "kernel M~ range [%d,%d] differs from the RangeTracker's [%d,%d] at score %d",
+			mwf.Lo, mwf.Hi, mR.Lo, mR.Hi, s)
 	}
-
-	// Compute D~(s).
-	var dwf *wfa.Wavefront
-	if !dR.Empty() {
-		dwf = a.pool.Acquire(dR.Lo, dR.Hi)
-		for k := dR.Lo; k <= dR.Hi; k++ {
-			open := srcMoe.At(k + 1)
-			ext := srcDe.At(k + 1)
-			v, tag := open, wfa.GTagOpen
-			if ext > open {
-				v, tag = ext, wfa.GTagExt
-			}
-			v = trimOffset(v, k, n, m)
-			if wfa.ValidOffset(v) {
-				dwf.Set(k, v, tag)
-			}
-		}
-	}
-
-	// Compute M~(s) — the frame column.
-	mwf := a.pool.Acquire(mR.Lo, mR.Hi)
-	for k := mR.Lo; k <= mR.Hi; k++ {
-		a.Stats.CellsComputed++
-		var sub int32 = wfa.Invalid
-		if v := srcMx.At(k); wfa.ValidOffset(v) {
-			sub = v + 1
-		}
-		ins := iwf.At(k)
-		del := dwf.At(k)
-		v, tag := sub, wfa.MTagSub
-		if ins > v {
-			v = ins
-			if iwf.TagAt(k) == wfa.GTagOpen {
-				tag = wfa.MTagIOpen
-			} else {
-				tag = wfa.MTagIExt
-			}
-		}
-		if del > v {
-			v = del
-			if dwf.TagAt(k) == wfa.GTagOpen {
-				tag = wfa.MTagDOpen
-			} else {
-				tag = wfa.MTagDExt
-			}
-		}
-		v = trimOffset(v, k, n, m)
-		if wfa.ValidOffset(v) {
-			mwf.Set(k, v, tag)
-		}
-	}
+	a.Stats.CellsComputed += int64(mR.Len())
 
 	// Extend phase + grid-aligned batch accounting (Figure 6 banking).
 	P := a.cfg.ParallelSections
@@ -426,26 +334,23 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
 	a.Stats.ExtendCycles += int64(t.ExtendFill)
 	for b := 0; b < batches; b++ {
 		base := kStart + b*P
+		// The batch's lanes that fall inside the frame column; the rest
+		// carry zero origins.
+		lo, hi := max(base, mR.Lo), min(base+P-1, mR.Hi)
 		maxBlocks := 0
-		origins := a.originsBuf[:0]
-		for c := 0; c < P; c++ {
-			k := base + c
-			var org uint8
-			if k >= mR.Lo && k <= mR.Hi {
-				if v := mwf.At(k); wfa.ValidOffset(v) {
-					i := int(v) - k
-					j := int(v)
-					ext := ExtendDiag(a.seqA, a.seqB, i, j)
-					mwf.Set(k, v+int32(ext.Matches), mwf.TagAt(k))
-					a.Stats.CellsExtended++
-					a.Stats.ExtendBlocks += int64(ext.Blocks)
-					if ext.Blocks > maxBlocks {
-						maxBlocks = ext.Blocks
-					}
-				}
-				org = wfa.PackOrigin(mwf.TagAt(k), iwf.TagAt(k), dwf.TagAt(k))
+		for k := lo; k <= hi; k++ {
+			c := mwf.Cell(k)
+			if !wfa.CellValid(c) {
+				continue
 			}
-			origins = append(origins, org)
+			v := wfa.CellOffset(c)
+			ext := ExtendDiag(a.seqA, a.seqB, int(v)-k, int(v))
+			mwf.SetCell(k, wfa.Pack(v+int32(ext.Matches), wfa.CellOrigin(c)))
+			a.Stats.CellsExtended++
+			a.Stats.ExtendBlocks += int64(ext.Blocks)
+			if ext.Blocks > maxBlocks {
+				maxBlocks = ext.Blocks
+			}
 		}
 		cycles += int64(t.ComputeIssue + maxBlocks)
 		a.Stats.Batches++
@@ -463,6 +368,12 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
 			a.Stats.BankConflicts++
 		}
 		if a.btEnabled {
+			origins := a.originsBuf[:P]
+			clear(origins)
+			for k := lo; k <= hi; k++ {
+				origins[k-base] = wfa.PackOrigin(wfa.CellOrigin(mwf.Cell(k)),
+					wfa.CellOrigin(iwf.Cell(k)), wfa.CellOrigin(dwf.Cell(k)))
+			}
 			a.outbox = append(a.outbox, obEntry{
 				kind:  obBlock,
 				id:    a.pairID,
@@ -479,10 +390,10 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
 	// the silent-corruption case the driver's software oracle must catch.
 	if idx, bit, ok := a.inj.FlipWavefront(cycle, a.idx, mR.Hi-mR.Lo+1); ok {
 		k := mR.Lo + idx
-		if v := mwf.At(k); wfa.ValidOffset(v) {
-			nv := v ^ int32(1<<bit)
+		if c := mwf.Cell(k); wfa.CellValid(c) {
+			nv := wfa.CellOffset(c) ^ int32(1<<bit)
 			if nv >= 0 && nv <= int32(m) && nv-int32(k) >= 0 && nv-int32(k) <= int32(n) {
-				mwf.Set(k, nv, mwf.TagAt(k))
+				mwf.SetCell(k, wfa.Pack(nv, wfa.CellOrigin(c)))
 				// Parity witness: the flipped line fails its parity check
 				// the next time it is read. Latched as a monotone trip so
 				// the job-level RegSDCWavefront register reports it.
@@ -491,93 +402,10 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
 		}
 	}
 
-	a.ring.put(s, iwf, dwf, mwf)
 	if a.isDone(mwf) {
 		a.success = true
 		a.finalK = a.seqB.Length - a.seqA.Length
 		a.finished = true
 	}
 	return cycles
-}
-
-// trimOffset clamps a computed offset to the DP grid of a pair with
-// |a| = n, |b| = m, turning out-of-grid cells invalid (hoisted out of
-// executeStep so the hot loop carries no closure).
-func trimOffset(off int32, k, n, m int) int32 {
-	if !wfa.ValidOffset(off) {
-		return wfa.Invalid
-	}
-	if off > int32(m) || off-int32(k) > int32(n) {
-		return wfa.Invalid
-	}
-	return off
-}
-
-// wfRing is the hardware wavefront window: only the dependency window of
-// scores is retained ("in the hardware, we only keep those necessary
-// wavefront vectors", Section 4.3.1).
-type wfRing struct {
-	window  int
-	score   []int
-	m, i, d []*wfa.Wavefront
-	pool    *wfa.Pool
-}
-
-func newWFRing(window int, pool *wfa.Pool) *wfRing {
-	r := &wfRing{
-		window: window,
-		score:  make([]int, window),
-		m:      make([]*wfa.Wavefront, window),
-		i:      make([]*wfa.Wavefront, window),
-		d:      make([]*wfa.Wavefront, window),
-		pool:   pool,
-	}
-	for idx := range r.score {
-		r.score[idx] = -1
-	}
-	return r
-}
-
-// reset empties the ring for the next pair, recycling retained wavefronts.
-func (r *wfRing) reset() {
-	for idx := range r.score {
-		r.score[idx] = -1
-		r.pool.Release(r.m[idx])
-		r.pool.Release(r.i[idx])
-		r.pool.Release(r.d[idx])
-		r.m[idx], r.i[idx], r.d[idx] = nil, nil, nil
-	}
-}
-
-func (r *wfRing) get(c wfa.Component, s int) *wfa.Wavefront {
-	if s < 0 {
-		return nil
-	}
-	slot := s % r.window
-	if r.score[slot] != s {
-		return nil
-	}
-	switch c {
-	case wfa.CompM:
-		return r.m[slot]
-	case wfa.CompI:
-		return r.i[slot]
-	case wfa.CompD:
-		return r.d[slot]
-	}
-	invariant.Failf("core", "bad component %d", c)
-	return nil
-}
-
-func (r *wfRing) put(s int, iwf, dwf, mwf *wfa.Wavefront) {
-	slot := s % r.window
-	// The evicted score is window scores behind every recurrence dependency
-	// (deepest is s-window), so its wavefronts are dead: recycle them.
-	r.pool.Release(r.m[slot])
-	r.pool.Release(r.i[slot])
-	r.pool.Release(r.d[slot])
-	r.score[slot] = s
-	r.i[slot] = iwf
-	r.d[slot] = dwf
-	r.m[slot] = mwf
 }

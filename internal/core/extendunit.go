@@ -13,7 +13,10 @@ import (
 type SeqRAM struct {
 	ID     uint32
 	Length int
-	Words  []uint32 // 2-bit packed bases, 16 per word
+	// Words holds the 2-bit packed bases, 16 per word. Its capacity always
+	// extends two zero words past its length, the sentinel padding that lets
+	// Window16 fetch a word pair without range checks.
+	Words []uint32
 }
 
 // LoadSeqRAM packs a byte sequence into a SeqRAM. The caller must have
@@ -35,9 +38,10 @@ func LoadSeqRAMInto(dst *SeqRAM, id uint32, seq []byte) error {
 	if err != nil {
 		return err
 	}
+	words = append(words, 0, 0) //vet:allow hotalloc sentinel padding in the retained word buffer, amortized across pairs
 	dst.ID = id
 	dst.Length = len(seq)
-	dst.Words = words
+	dst.Words = words[:len(words)-2]
 	return nil
 }
 
@@ -45,18 +49,13 @@ func LoadSeqRAMInto(dst *SeqRAM, id uint32, seq []byte) error {
 // REG_1/REG_2 concatenate-and-shift of the Extend sub-module (Figure 7):
 // two consecutive RAM words are fetched, concatenated to 64 bits and shifted
 // so the starting base lands in the least-significant position. Bases past
-// the end of the stored sequence read as zero.
+// the end of the stored sequence read as zero, from the two padding words;
+// pos must not exceed the sequence length.
 func (r *SeqRAM) Window16(pos int) uint32 {
-	word := pos / seqio.BasesPerWord
-	sh := uint(2 * (pos % seqio.BasesPerWord))
-	var lo, hi uint64
-	if word < len(r.Words) {
-		lo = uint64(r.Words[word])
-	}
-	if word+1 < len(r.Words) {
-		hi = uint64(r.Words[word+1])
-	}
-	return uint32((hi<<32 | lo) >> sh)
+	p := uint(pos)
+	w := r.Words[p/seqio.BasesPerWord:][:2]
+	sh := 2 * (p % seqio.BasesPerWord)
+	return uint32((uint64(w[1])<<32 | uint64(w[0])) >> sh)
 }
 
 // ExtendResult reports one Extend sub-module run for a single cell.
@@ -72,38 +71,27 @@ type ExtendResult struct {
 // produce identical offsets.
 func ExtendDiag(a, b *SeqRAM, i, j int) ExtendResult {
 	res := ExtendResult{}
+	rem := min(a.Length-i, b.Length-j) // bases left on the diagonal
 	for {
 		res.Blocks++
-		limit := 16
-		if rem := a.Length - i; rem < limit {
-			limit = rem
-		}
-		if rem := b.Length - j; rem < limit {
-			limit = rem
-		}
-		if limit <= 0 {
+		if rem <= 0 {
 			return res
 		}
-		wa := a.Window16(i)
-		wb := b.Window16(j)
-		x := wa ^ wb
-		var mask uint32 = ^uint32(0)
-		if limit < 16 {
-			mask = 1<<(2*limit) - 1
-		}
-		x &= mask
-		if x == 0 {
-			// All limit bases match.
-			res.Matches += limit
-			i += limit
-			j += limit
-			if limit < 16 {
-				return res // hit a sequence end
+		x := a.Window16(i) ^ b.Window16(j)
+		if rem < 16 {
+			// The block straddles a sequence end: compare only rem bases.
+			if x &= 1<<(2*rem) - 1; x == 0 {
+				res.Matches += rem
+				return res
 			}
+		} else if x == 0 {
+			res.Matches += 16
+			i += 16
+			j += 16
+			rem -= 16
 			continue
 		}
-		matched := bits.TrailingZeros32(x) / 2
-		res.Matches += matched
+		res.Matches += bits.TrailingZeros32(x) / 2
 		return res
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,4 +306,65 @@ func TestRangeTrackerBasics(t *testing.T) {
 		}
 	}()
 	tr.Extend(100)
+}
+
+// TestLoadSeqRAMIntoPadding reloads one retained SeqRAM with sequences of
+// shrinking and growing length. Each load must leave two zero words past
+// the packed bases, even where a longer earlier load left all-ones words
+// ('T' packs to 0b11), and ExtendDiag over the reused RAM must equal
+// ExtendDiag over a fresh one and the byte compare, blocks included.
+func TestLoadSeqRAMIntoPadding(t *testing.T) {
+	r := rand.New(rand.NewPCG(14, 2))
+	var reusedA, reusedB SeqRAM
+	for _, n := range []int{200, 37, 16, 15, 1, 0, 64, 33, 250, 17} {
+		long := []byte(strings.Repeat("T", 256))
+		if err := LoadSeqRAMInto(&reusedA, 1, long); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadSeqRAMInto(&reusedB, 1, long); err != nil {
+			t.Fatal(err)
+		}
+		a := []byte(strings.Repeat("T", n))
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ACGT"[r.IntN(4)]
+		}
+		if n > 3 {
+			b[n-1], b[n-2] = 'T', 'T'
+		}
+		if err := LoadSeqRAMInto(&reusedA, 2, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadSeqRAMInto(&reusedB, 2, b); err != nil {
+			t.Fatal(err)
+		}
+		for _, ram := range []*SeqRAM{&reusedA, &reusedB} {
+			if pad := ram.Words[len(ram.Words):][:2]; pad[0] != 0 || pad[1] != 0 {
+				t.Fatalf("n=%d: padding words %#x, want zero", n, pad)
+			}
+		}
+		freshA, err := LoadSeqRAM(2, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshB, err := LoadSeqRAM(2, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= n; i++ {
+			for j := max(0, i-3); j <= min(n, i+3); j++ {
+				got := ExtendDiag(&reusedA, &reusedB, i, j)
+				if want := ExtendDiag(freshA, freshB, i, j); got != want {
+					t.Fatalf("n=%d ExtendDiag(%d,%d) reused=%+v fresh=%+v", n, i, j, got, want)
+				}
+				want := 0
+				for i+want < n && j+want < n && a[i+want] == b[j+want] {
+					want++
+				}
+				if got.Matches != want {
+					t.Fatalf("n=%d ExtendDiag(%d,%d) matches=%d, byte compare %d", n, i, j, got.Matches, want)
+				}
+			}
+		}
+	}
 }

@@ -22,9 +22,9 @@ func allocProfile1K(t *testing.T, n int) []seqio.Pair {
 
 // TestAlignerRunScoreOnlyZeroAlloc pins the steady-state allocation budget of
 // the score-only (ring buffer) mode: after one warm-up sweep has grown the
-// ring, the wavefront pool and the range clamps, re-aligning the same
-// workload must not allocate at all — there is no per-pair result buffer in
-// score-only mode, so the amortized budget is exactly zero.
+// wavefront window's slab, re-aligning the same workload must not allocate
+// at all — there is no per-pair result buffer in score-only mode, so the
+// amortized budget is exactly zero.
 func TestAlignerRunScoreOnlyZeroAlloc(t *testing.T) {
 	pairs := allocProfile1K(t, 16)
 	al, err := New(align.DefaultPenalties, Options{})
@@ -38,15 +38,15 @@ func TestAlignerRunScoreOnlyZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	// Warm-up: repeat the sweep until the pool's high-water growth has
-	// quiesced (each pooled wavefront reallocates at most once after the
-	// first sweep, so this converges in a handful of rounds).
+	// Warm-up: repeat the sweep until the slab's high-water growth has
+	// quiesced (it reallocates only for a pair wider than any before, so
+	// this converges within a couple of rounds).
 	warmed := false
 	for i := 0; i < 16 && !warmed; i++ {
 		warmed = testing.AllocsPerRun(1, sweep) == 0
 	}
 	if !warmed {
-		t.Fatal("pool never quiesced: warm-up sweeps kept allocating")
+		t.Fatal("window never quiesced: warm-up sweeps kept allocating")
 	}
 	allocs := testing.AllocsPerRun(4, sweep)
 	if allocs != 0 {
@@ -57,7 +57,7 @@ func TestAlignerRunScoreOnlyZeroAlloc(t *testing.T) {
 // TestAlignerRunCIGARAmortizedAllocs pins the amortized per-pair allocation
 // budget of the full-backtrace mode on the 1K-read profile. Each pair
 // legitimately allocates its caller-owned CIGAR (the reverseOps result
-// buffer, waived in backtrace.go); everything else — wavefront store, pool,
+// buffer, waived in backtrace.go); everything else — wavefront window, trail,
 // backtrace scratch — must amortize to zero after warm-up. The bound is
 // deliberately a hard ratchet: raising it needs a justification, like the
 // vet baseline.
@@ -82,7 +82,7 @@ func TestAlignerRunCIGARAmortizedAllocs(t *testing.T) {
 		warmed = testing.AllocsPerRun(1, sweep) <= budget
 	}
 	if !warmed {
-		t.Fatal("pool never quiesced: warm-up sweeps kept allocating beyond the result buffers")
+		t.Fatal("window never quiesced: warm-up sweeps kept allocating beyond the result buffers")
 	}
 	perPair := testing.AllocsPerRun(4, sweep) / float64(len(pairs))
 	const maxPerPair = 1.0 // the CIGAR result buffer, nothing else

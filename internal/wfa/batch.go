@@ -21,10 +21,17 @@ type BatchResult struct {
 // use). It is the software counterpart of the paper's multi-threaded
 // WFA-CPU baseline (the EPYC rows of Table 2): embarrassingly parallel
 // across pairs, with per-pair results in input order. workers <= 0 selects
-// GOMAXPROCS. The penalties are validated once before the fan-out.
+// GOMAXPROCS. The penalties and the sequence lengths are validated once
+// before the fan-out: a sequence longer than MaxSeqLen fails the whole
+// batch with ErrTooLong.
 func AlignBatch(pairs []seqio.Pair, p align.Penalties, opts Options, workers int) ([]BatchResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("wfa: %w", err) //vet:allow hotalloc error construction on the reject path only
+	}
+	for _, pair := range pairs {
+		if err := checkLengths(len(pair.A), len(pair.B)); err != nil {
+			return nil, fmt.Errorf("pair %d: %w", pair.ID, err) //vet:allow hotalloc error construction on the reject path only
+		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

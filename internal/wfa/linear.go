@@ -23,6 +23,9 @@ func LinearAlign(a, b []byte, p swg.LinearPenalties, opts Options) (align.Result
 	n, m := len(a), len(b)
 	alignK := m - n
 	var st Stats
+	if checkLengths(n, m) != nil {
+		return align.Result{Success: false}, st
+	}
 
 	maxScore := opts.MaxScore
 	if maxScore <= 0 {
@@ -33,100 +36,44 @@ func LinearAlign(a, b []byte, p swg.LinearPenalties, opts Options) (align.Result
 		maxScore = p.Mismatch*short + p.Gap*diff + p.Gap + 1
 	}
 
-	// Linear tags: 2 bits per cell.
-	const (
-		lNone uint8 = 0
-		lSub  uint8 = 1
-		lIns  uint8 = 2
-		lDel  uint8 = 3
-	)
-
 	window := p.Mismatch
 	if p.Gap > window {
 		window = p.Gap
 	}
-	var store wfStore
-	if opts.WithCIGAR {
-		store = newFullStore(maxScore)
-	} else {
-		store = newRingStore(window + 1)
+	// The single component lives in the M~ rows of the same padded window
+	// the gap-affine kernel uses; the I~ and D~ rows stay empty.
+	var win Window
+	win.reset(n, m, opts.MaxK, window+1, 1)
+	var tr trail
+	record := func(s int) {
+		if opts.WithCIGAR {
+			tr.record(win.Get(CompI, s), win.Get(CompD, s), win.Get(CompM, s))
+		}
+	}
+	backtrace := func(s int) align.CIGAR {
+		return linearBacktrace(&tr, s, alignK, m, p)
 	}
 
-	clamp := func(lo, hi int) (int, int) {
-		if lo < -n {
-			lo = -n
-		}
-		if hi > m {
-			hi = m
-		}
-		if opts.MaxK > 0 {
-			if lo < -opts.MaxK {
-				lo = -opts.MaxK
-			}
-			if hi > opts.MaxK {
-				hi = opts.MaxK
-			}
-		}
-		return lo, hi
-	}
-	trim := func(off int32, k int) int32 {
-		if !ValidOffset(off) || off > int32(m) || off-int32(k) > int32(n) {
-			return Invalid
-		}
-		return off
-	}
-	extend := func(wf *Wavefront) {
-		for k := wf.Lo; k <= wf.Hi; k++ {
-			v := wf.Off[k-wf.Lo]
-			if !ValidOffset(v) {
-				continue
-			}
-			st.CellsExtended++
-			i, j := v-int32(k), v
-			start := j
-			for i < int32(n) && j < int32(m) && a[i] == b[j] {
-				i++
-				j++
-			}
-			matched := j - start
-			compared := matched
-			if i < int32(n) && j < int32(m) {
-				compared++
-			}
-			st.BasesCompared += int64(compared)
-			st.Blocks16 += int64(compared/16) + 1
-			wf.Off[k-wf.Lo] = j
-		}
-	}
-	done := func(wf *Wavefront) bool {
-		return wf.Valid(alignK) && wf.At(alignK) >= int32(m)
-	}
-
-	m0 := NewWavefront(0, 0)
-	m0.Set(0, 0, lNone)
-	extend(m0)
-	store.put(CompM, 0, m0)
-	if done(m0) {
+	m0 := win.Init()
+	extendRow(a, b, m0, &st)
+	record(0)
+	if m0.Reached(alignK, int32(m)) {
 		st.Score = 0
 		res := align.Result{Score: 0, Success: true}
 		if opts.WithCIGAR {
-			res.CIGAR = linearBacktrace(a, b, store, 0, alignK, p)
+			res.CIGAR = backtrace(0)
 		}
 		return res, st
 	}
 
-	emptyRun := 0
-	for s := 1; s <= maxScore; s++ {
+	base := win.base
+	for s, emptyRun := 1, 0; s <= maxScore; s++ {
 		st.ScoreSteps++
-		var srcX, srcG *Wavefront
-		if s-p.Mismatch >= 0 {
-			srcX = store.get(CompM, s-p.Mismatch)
-		}
-		if s-p.Gap >= 0 {
-			srcG = store.get(CompM, s-p.Gap)
-		}
+		srcX, srcG := win.Get(CompM, s-p.Mismatch), win.Get(CompM, s-p.Gap)
+		wf := win.claim(CompM, s)
 		if srcX.Len() == 0 && srcG.Len() == 0 {
-			store.put(CompM, s, nil)
+			wf.retarget(1, 0)
+			record(s)
 			emptyRun++
 			if emptyRun > window {
 				break
@@ -134,55 +81,41 @@ func LinearAlign(a, b []byte, p swg.LinearPenalties, opts Options) (align.Result
 			continue
 		}
 		emptyRun = 0
-		lo, hi := rangeUnion(srcX, srcG)
+		lo, hi := union(srcX, srcG, 0)
 		if srcG.Len() > 0 {
-			if srcG.Lo-1 < lo {
-				lo = srcG.Lo - 1
-			}
-			if srcG.Hi+1 > hi {
-				hi = srcG.Hi + 1
-			}
+			lo, hi = min(lo, srcG.Lo-1), max(hi, srcG.Hi+1)
 		}
-		lo, hi = clamp(lo, hi)
+		lo, hi = win.clamp(lo, hi)
+		wf.retarget(lo, hi)
 		if lo > hi {
-			store.put(CompM, s, nil)
+			record(s)
 			continue
 		}
-		wf := NewWavefront(lo, hi)
-		for k := lo; k <= hi; k++ {
+		dst := wf.written()
+		for idx := range dst {
+			k := lo + idx
 			st.CellsComputed++
-			var sub, ins, del int32 = Invalid, Invalid, Invalid
-			if v := srcX.At(k); ValidOffset(v) {
-				sub = v + 1
+			v, tag := srcX.cells[k+base]>>originBits+1, lSub
+			if c := srcG.cells[k-1+base] >> originBits; c+1 > v {
+				v, tag = c+1, lIns
 			}
-			if v := srcG.At(k - 1); ValidOffset(v) {
-				ins = v + 1
+			if c := srcG.cells[k+1+base] >> originBits; c > v {
+				v, tag = c, lDel
 			}
-			del = srcG.At(k + 1)
-			v, tag := sub, lSub
-			if ins > v {
-				v, tag = ins, lIns
-			}
-			if del > v {
-				v, tag = del, lDel
-			}
-			v = trim(v, k)
-			if ValidOffset(v) {
-				wf.Set(k, v, tag)
-			}
+			dst[idx] = trim(Pack(v, tag), v, int32(k), win.n, win.m)
 		}
 		st.NonEmptySteps++
-		extend(wf)
-		store.put(CompM, s, wf)
+		extendRow(a, b, wf, &st)
+		record(s)
 		if w := wf.Len(); w > st.MaxWavefront {
 			st.MaxWavefront = w
 		}
 		st.SumWavefront += int64(wf.Len())
-		if done(wf) {
+		if wf.Reached(alignK, int32(m)) {
 			st.Score = s
 			res := align.Result{Score: s, Success: true}
 			if opts.WithCIGAR {
-				res.CIGAR = linearBacktrace(a, b, store, s, alignK, p)
+				res.CIGAR = backtrace(s)
 			}
 			return res, st
 		}
@@ -190,31 +123,34 @@ func LinearAlign(a, b []byte, p swg.LinearPenalties, opts Options) (align.Result
 	return align.Result{Success: false}, st
 }
 
-// linearBacktrace walks the retained gap-linear wavefronts.
-func linearBacktrace(a, b []byte, store wfStore, finalScore, alignK int, p swg.LinearPenalties) align.CIGAR {
-	const (
-		lSub uint8 = 1
-		lIns uint8 = 2
-		lDel uint8 = 3
-	)
+// Gap-linear origin tags, in the 3-bit origin field of the M~ rows.
+const (
+	lNone uint8 = 0
+	lSub  uint8 = 1
+	lIns  uint8 = 2
+	lDel  uint8 = 3
+)
+
+// linearBacktrace walks the recorded gap-linear wavefronts.
+func linearBacktrace(tr *trail, finalScore, alignK, m int, p swg.LinearPenalties) align.CIGAR {
 	var rev []align.Op
 	s := finalScore
 	k := alignK
-	cur := int32(len(b))
+	cur := int32(m)
 	for {
-		wf := store.get(CompM, s)
-		if wf == nil || !wf.Valid(k) {
+		c := tr.cell(CompM, s, k)
+		if c < 0 {
 			invariant.Failf("wfa", "linear backtrace lost cell (s=%d,k=%d)", s, k)
 		}
-		tag := wf.TagAt(k)
+		tag := CellOrigin(c)
 		var pre int32
 		switch tag {
 		case lSub:
-			pre = store.get(CompM, s-p.Mismatch).At(k) + 1
+			pre = tr.cell(CompM, s-p.Mismatch, k)>>originBits + 1
 		case lIns:
-			pre = store.get(CompM, s-p.Gap).At(k-1) + 1
+			pre = tr.cell(CompM, s-p.Gap, k-1)>>originBits + 1
 		case lDel:
-			pre = store.get(CompM, s-p.Gap).At(k + 1)
+			pre = tr.cell(CompM, s-p.Gap, k+1) >> originBits
 		default: // the initial cell
 			pre = 0
 		}

@@ -8,20 +8,90 @@
 //   - ties in the max-reductions are broken in a fixed order (substitution,
 //     then insertion, then deletion; gap-open beats gap-extend) so the
 //     software CIGAR matches the accelerator's backtrace bit-for-bit;
-//   - each computed cell records a 5-bit origin exactly as the Compute
+//   - each computed cell records its origin exactly as the Compute
 //     sub-module emits it (3 bits for M~, 1 for I~, 1 for D~, Section 4.3.3);
 //   - out-of-matrix cells (offset beyond |b|, or i beyond |a|) are trimmed to
 //     the invalid sentinel immediately after compute, as the hardware's
 //     column initialization/validity tracking does.
+//
+// # Cell layout
+//
+// A wavefront cell is one int32, offset<<3 | origin: the offset in bits
+// [31:3] and the cell's origin tag in bits [2:0] (an MTag for M~ cells, a
+// GTag for I~ and D~ cells). Every invalid cell holds the single value
+// InvalidCell, which is negative and has zero origin bits; valid offsets are
+// never negative, so validity is a sign test. The max-reductions compare
+// cell>>3 only, never the origin bits, so the tie-break order above is
+// decided by offsets alone.
+//
+// A wavefront is a padded row (Wavefront) that spans the pair's whole
+// clamped diagonal range plus one sentinel cell on each side,
+// [-min(|a|,k_max)-1, min(|b|,k_max)+1], indexed k+base. Cells outside the
+// range the kernel wrote always hold InvalidCell, so the k±1 neighbour reads
+// of Equation 3 need no range check, and an absent wavefront reads as a
+// shared all-invalid row. A Window keeps the dependency window of rows; a
+// reused row resets only the range it wrote before, never its full width.
+// Rows are sized to the pair, never to k_max.
+//
+// Backtrace mode keeps a compact copy of each score's written ranges (the
+// trail in backtrace.go), never full-width rows per score.
+//
+// # Length limit
+//
+// The offset field holds at most MaxSeqLen = 2^28-1, so neither sequence may
+// be longer. Align and AlignBatch reject longer inputs with ErrTooLong;
+// Aligner.Run reports them as unsuccessful.
 package wfa
 
-import "math"
+import (
+	"errors"
+	"math"
 
-// Invalid is the sentinel offset of a never-computed or trimmed cell. It is
-// negative enough that adding small penalties can never make it win a max.
-// The hardware initializes wavefront RAM columns to negative values for the
-// same purpose (Section 4.3.1).
-const Invalid int32 = math.MinInt32 / 2
+	"repro/internal/align"
+)
+
+// originBits is the width of the origin field at the bottom of a cell.
+const originBits = 3
+
+// originMask selects the origin field of a cell.
+const originMask = 1<<originBits - 1
+
+// MaxSeqLen is the longest sequence the packed cell can address: a cell
+// keeps the offset in 29 signed bits and valid offsets are non-negative.
+const MaxSeqLen = 1<<28 - 1
+
+// ErrTooLong reports a sequence longer than MaxSeqLen.
+var ErrTooLong = errors.New("wfa: sequence longer than MaxSeqLen")
+
+// checkLengths rejects a pair the packed cell cannot address.
+func checkLengths(n, m int) error {
+	if n > MaxSeqLen || m > MaxSeqLen {
+		return ErrTooLong
+	}
+	return nil
+}
+
+// InvalidCell is the value of every never-computed or trimmed cell: offset
+// -2^27 with zero origin bits. Adding the +1 of a substitution or insertion
+// leaves it negative, and a negative offset never survives the trim, so it
+// can never win a max against a real offset. The hardware initializes
+// Wavefront RAM columns to negative values for the same purpose (Section
+// 4.3.1).
+const InvalidCell int32 = math.MinInt32 / 2
+
+// Pack builds a cell from an offset and an origin tag.
+func Pack(off int32, origin uint8) int32 {
+	return off<<originBits | int32(origin)
+}
+
+// CellOffset returns the offset field of a cell.
+func CellOffset(c int32) int32 { return c >> originBits }
+
+// CellOrigin returns the origin tag of a cell (0 for InvalidCell).
+func CellOrigin(c int32) uint8 { return uint8(c & originMask) }
+
+// CellValid reports whether a cell holds a real offset.
+func CellValid(c int32) bool { return c >= 0 }
 
 // Component selects one of the three wavefront matrices of Equation 3.
 type Component uint8
@@ -50,7 +120,8 @@ func (c Component) String() string {
 // Origin tags. MTag* values occupy 3 bits and enumerate the five origins of
 // an M~ cell (Section 4.3.3: "the origin of a cell in the I~, D~, and M~
 // wavefront matrices can come from 2, 2 and 5 positions, respectively").
-// GTag* values are the 1-bit origins of I~ and D~ cells.
+// GTag* values are the 1-bit origins of I~ and D~ cells. The kernel derives
+// an M~ cell's gap tags arithmetically: MTagIOpen+GTag and MTagDOpen+GTag.
 const (
 	MTagNone  uint8 = 0 // cell invalid or the initial cell M~(0,0)
 	MTagSub   uint8 = 1 // from M~(s-x, k) + 1
@@ -74,64 +145,315 @@ func UnpackOrigin(o uint8) (mTag, iTag, dTag uint8) {
 	return o >> 2, o >> 1 & 1, o & 1
 }
 
-// Wavefront is one vector of Equation 3 for a single score and component:
-// offsets for the diagonals Lo..Hi inclusive, plus per-cell origin tags.
+// Wavefront is one vector of Equation 3 for a single score and component,
+// held as a padded row over the pair's whole diagonal span. Lo..Hi is the
+// range the kernel wrote; every other cell of the row holds InvalidCell.
 type Wavefront struct {
-	Lo, Hi int     // valid diagonal range, inclusive; Lo > Hi means empty
-	Off    []int32 // offset of diagonal k at index k-Lo
-	Tag    []uint8 // origin tag of diagonal k at index k-Lo
-}
-
-// NewWavefront allocates an all-invalid wavefront spanning [lo, hi].
-func NewWavefront(lo, hi int) *Wavefront {
-	n := hi - lo + 1
-	if n < 0 {
-		n = 0
-	}
-	w := &Wavefront{Lo: lo, Hi: hi, Off: make([]int32, n), Tag: make([]uint8, n)}
-	for i := range w.Off {
-		w.Off[i] = Invalid
-	}
-	return w
+	Lo, Hi int     // written diagonal range, inclusive; Lo > Hi means empty
+	cells  []int32 // packed cells, diagonal k at index k+base
+	base   int
 }
 
 // Len returns the number of diagonals the wavefront spans (0 when empty).
 func (w *Wavefront) Len() int {
-	if w == nil || w.Hi < w.Lo {
+	if w.Hi < w.Lo {
 		return 0
 	}
 	return w.Hi - w.Lo + 1
 }
 
-// At returns the offset at diagonal k, or Invalid when k is out of range or
-// the wavefront is nil.
-func (w *Wavefront) At(k int) int32 {
-	if w == nil || k < w.Lo || k > w.Hi {
-		return Invalid
+// Cell returns the packed cell of diagonal k, which must lie in the pair's
+// padded span.
+func (w *Wavefront) Cell(k int) int32 { return w.cells[k+w.base] }
+
+// SetCell stores the packed cell of diagonal k, which must lie in Lo..Hi.
+func (w *Wavefront) SetCell(k int, c int32) { w.cells[k+w.base] = c }
+
+// Reached reports whether diagonal k holds a valid offset of at least off:
+// the termination test against the pair's final cell. k may lie anywhere,
+// including outside the pair's span under a k_max clamp.
+func (w *Wavefront) Reached(k int, off int32) bool {
+	if k < w.Lo || k > w.Hi {
+		return false
 	}
-	return w.Off[k-w.Lo]
+	c := w.cells[k+w.base]
+	return c >= 0 && c>>originBits >= off
 }
 
-// TagAt returns the origin tag at diagonal k (zero out of range).
-func (w *Wavefront) TagAt(k int) uint8 {
-	if w == nil || k < w.Lo || k > w.Hi {
-		return 0
+// written returns the cells of Lo..Hi (empty when the range is).
+func (w *Wavefront) written() []int32 {
+	if w.Hi < w.Lo {
+		return nil
 	}
-	return w.Tag[k-w.Lo]
+	return w.cells[w.Lo+w.base : w.Hi+w.base+1]
 }
 
-// Set stores offset and tag at diagonal k; k must be within [Lo, Hi].
-func (w *Wavefront) Set(k int, off int32, tag uint8) {
-	w.Off[k-w.Lo] = off
-	w.Tag[k-w.Lo] = tag
+// retarget makes lo..hi the written range, resetting to InvalidCell only
+// the cells of the previous range that the new one does not cover: the
+// caller overwrites every cell of lo..hi.
+func (w *Wavefront) retarget(lo, hi int) {
+	if w.Lo <= w.Hi {
+		if lo > hi {
+			fillInvalid(w.cells[w.Lo+w.base : w.Hi+w.base+1])
+		} else {
+			if w.Lo < lo {
+				fillInvalid(w.cells[w.Lo+w.base : min(w.Hi, lo-1)+w.base+1])
+			}
+			if w.Hi > hi {
+				fillInvalid(w.cells[max(w.Lo, hi+1)+w.base : w.Hi+w.base+1])
+			}
+		}
+	}
+	if lo > hi {
+		lo, hi = 1, 0
+	}
+	w.Lo, w.Hi = lo, hi
 }
 
-// Valid reports whether diagonal k holds a real (non-sentinel) offset.
-func (w *Wavefront) Valid(k int) bool {
-	return w.At(k) > Invalid/2
+func fillInvalid(cells []int32) {
+	for i := range cells {
+		cells[i] = InvalidCell
+	}
 }
 
-// ValidOffset reports whether a raw offset value is a real offset.
-func ValidOffset(off int32) bool {
-	return off > Invalid/2
+// Window is the dependency window of one pair's wavefronts: the rows of the
+// last scores each component's recurrence still reads, reused score after
+// score and pair after pair. M~ keeps max(x, o+e)+1 scores; I~ and D~ are
+// read only at s-e and s, so they keep e+1. All rows are cut from one slab.
+// A Window is not safe for concurrent use.
+type Window struct {
+	kLo, kHi int // the pair's clamped diagonal range
+	n, m     int32
+	base     int                  // row index of diagonal 0
+	width    int                  // cells per row
+	score    [numComponents][]int // score held by each slot, -1 when free
+	rows     [numComponents][]Wavefront
+	blank    Wavefront // all-invalid row read for absent wavefronts
+	slab     []int32   // backing store of blank and every row
+	stride   int       // slab cells reserved per row
+}
+
+// Reset re-arms the window for a pair with |a| = n and |b| = m under the
+// diagonal clamp kmax (<= 0: none) and the gap-affine penalties p. Rows
+// keep their storage: each resets the range it wrote for the previous pair,
+// and the slab grows only when this pair's span is wider than any before.
+func (w *Window) Reset(n, m, kmax int, p align.Penalties) {
+	mSlots := max(p.Mismatch, p.GapOpen+p.GapExtend) + 1
+	w.reset(n, m, kmax, mSlots, p.GapExtend+1)
+}
+
+// reset is Reset with explicit slot counts for M~ and for each of I~, D~.
+func (w *Window) reset(n, m, kmax, mSlots, gapSlots int) {
+	w.kLo, w.kHi = -n, m
+	if kmax > 0 {
+		w.kLo, w.kHi = max(w.kLo, -kmax), min(w.kHi, kmax)
+	}
+	w.n, w.m = int32(n), int32(m)
+	w.base = 1 - w.kLo
+	w.width = w.kHi - w.kLo + 3
+
+	regrow := w.width > w.stride
+	for c := range w.rows {
+		slots := gapSlots
+		if Component(c) == CompM {
+			slots = mSlots
+		}
+		if len(w.score[c]) != slots {
+			w.score[c] = make([]int, slots)
+			w.rows[c] = make([]Wavefront, slots)
+			regrow = true
+		}
+		for i := range w.score[c] {
+			w.score[c][i] = -1
+		}
+	}
+	if regrow {
+		// Every row starts over in a new all-invalid slab. A slab that
+		// outgrew an earlier one takes an eighth of headroom, so pairs of
+		// nearly equal length settle on one allocation.
+		if w.stride > 0 {
+			w.stride = w.width + w.width/8
+		} else {
+			w.stride = w.width
+		}
+		w.slab = make([]int32, (1+mSlots+2*gapSlots)*w.stride)
+		fillInvalid(w.slab)
+	}
+	at := 0
+	w.cut(&w.blank, &at, regrow)
+	for c := range w.rows {
+		for i := range w.rows[c] {
+			w.cut(&w.rows[c][i], &at, regrow)
+		}
+	}
+}
+
+// cut gives row r the next stride of the slab, sized to the pair. A row
+// that keeps its place first resets the range it wrote; every other cell
+// of its stride already holds InvalidCell.
+func (w *Window) cut(r *Wavefront, at *int, fresh bool) {
+	if fresh {
+		r.Lo, r.Hi = 1, 0
+	} else {
+		r.retarget(1, 0)
+	}
+	r.cells = w.slab[*at : *at+w.width : *at+w.stride]
+	r.base = w.base
+	*at += w.stride
+}
+
+// Get returns the row of component c at score s, or the shared all-invalid
+// row when s is negative or not in the window.
+func (w *Window) Get(c Component, s int) *Wavefront {
+	if s < 0 {
+		return &w.blank
+	}
+	slot := s % len(w.score[c])
+	if w.score[c][slot] != s {
+		return &w.blank
+	}
+	return &w.rows[c][slot]
+}
+
+// claim hands out component c's slot for score s, evicting the score it
+// held.
+func (w *Window) claim(c Component, s int) *Wavefront {
+	slot := s % len(w.score[c])
+	w.score[c][slot] = s
+	return &w.rows[c][slot]
+}
+
+// clamp applies the pair's structural diagonal bounds to lo..hi.
+func (w *Window) clamp(lo, hi int) (int, int) {
+	return max(lo, w.kLo), min(hi, w.kHi)
+}
+
+// union returns the union of two written ranges shifted by d (empty when
+// both are).
+func union(a, b *Wavefront, d int) (lo, hi int) {
+	switch {
+	case a.Lo > a.Hi && b.Lo > b.Hi:
+		return 1, 0
+	case a.Lo > a.Hi:
+		return b.Lo + d, b.Hi + d
+	case b.Lo > b.Hi:
+		return a.Lo + d, a.Hi + d
+	}
+	return min(a.Lo, b.Lo) + d, max(a.Hi, b.Hi) + d
+}
+
+// Init stores the initial condition M~(0,0) = 0 (Section 2.3) as score 0
+// and returns its row, not yet extended.
+func (w *Window) Init() *Wavefront {
+	w.claim(CompI, 0).retarget(1, 0)
+	w.claim(CompD, 0).retarget(1, 0)
+	mw := w.claim(CompM, 0)
+	mw.retarget(0, 0)
+	mw.SetCell(0, Pack(0, MTagNone))
+	return mw
+}
+
+// Step is the wavefront kernel, the one I~/D~/M~ compute loop of the
+// repository: it computes I~(s), D~(s) and M~(s) of Equation 3 (Figure 2)
+// from the dependency rows in the window into the slot of score s and
+// returns the three rows. M~(s) comes back un-extended; the software
+// Aligner and the simulated hardware Aligner each run their own extend over
+// it in place.
+//
+// Ranges follow the dependency rows: I~ spans the union of M~(s-o-e) and
+// I~(s-e) shifted by +1, D~ the same union with D~(s-e) shifted by -1, and
+// M~ the union of M~(s-x), I~(s) and D~(s), each clamped to the pair's span.
+// The ranges depend only on the penalties, the lengths and k_max, so they
+// equal the hardware RangeTracker's. An empty M~ range means an empty score.
+func (w *Window) Step(s int, p align.Penalties) (iw, dw, mw *Wavefront) {
+	x, oe, e := p.Mismatch, p.GapOpen+p.GapExtend, p.GapExtend
+	srcMx, srcMoe := w.Get(CompM, s-x), w.Get(CompM, s-oe)
+	srcIe, srcDe := w.Get(CompI, s-e), w.Get(CompD, s-e)
+	iw, dw, mw = w.claim(CompI, s), w.claim(CompD, s), w.claim(CompM, s)
+	n, m, base := w.n, w.m, w.base
+
+	// I~(s) = max(M~(s-o-e, k-1), I~(s-e, k-1)) + 1; open wins a tie.
+	lo, hi := union(srcMoe, srcIe, +1)
+	lo, hi = w.clamp(lo, hi)
+	iw.retarget(lo, hi)
+	if lo <= hi {
+		dst := iw.written()
+		open := srcMoe.cells[lo-1+base:][:len(dst)]
+		ext := srcIe.cells[lo-1+base:][:len(dst)]
+		for idx := range dst {
+			ov, xv := open[idx]>>originBits, ext[idx]>>originBits
+			v := max(ov, xv) + 1
+			c := v<<originBits | int32(GTagExt)
+			if ov >= xv {
+				c = v << originBits // | GTagOpen
+			}
+			dst[idx] = trim(c, v, int32(lo+idx), n, m)
+		}
+	}
+
+	// D~(s) = max(M~(s-o-e, k+1), D~(s-e, k+1)); open wins a tie.
+	lo, hi = union(srcMoe, srcDe, -1)
+	lo, hi = w.clamp(lo, hi)
+	dw.retarget(lo, hi)
+	if lo <= hi {
+		dst := dw.written()
+		open := srcMoe.cells[lo+1+base:][:len(dst)]
+		ext := srcDe.cells[lo+1+base:][:len(dst)]
+		for idx := range dst {
+			ov, xv := open[idx]>>originBits, ext[idx]>>originBits
+			v := max(ov, xv)
+			c := v<<originBits | int32(GTagExt)
+			if ov >= xv {
+				c = v << originBits // | GTagOpen
+			}
+			dst[idx] = trim(c, v, int32(lo+idx), n, m)
+		}
+	}
+
+	// M~(s) = max(M~(s-x, k) + 1, I~(s, k), D~(s, k)); ties go to
+	// substitution, then insertion, then deletion.
+	lo, hi = union(srcMx, iw, 0)
+	if dw.Lo <= dw.Hi {
+		if lo > hi {
+			lo, hi = dw.Lo, dw.Hi
+		} else {
+			lo, hi = min(lo, dw.Lo), max(hi, dw.Hi)
+		}
+	}
+	lo, hi = w.clamp(lo, hi)
+	mw.retarget(lo, hi)
+	if lo <= hi {
+		dst := mw.written()
+		sub := srcMx.cells[lo+base:][:len(dst)]
+		ins := iw.cells[lo+base:][:len(dst)]
+		del := dw.cells[lo+base:][:len(dst)]
+		for idx := range dst {
+			ic, dc := ins[idx], del[idx]
+			sv, iv, dv := sub[idx]>>originBits+1, ic>>originBits, dc>>originBits
+			v := max(sv, iv, dv)
+			// The first of substitution, insertion, deletion that reaches
+			// the maximum offset names the origin.
+			c := v<<originBits | int32(MTagDOpen) | dc&originMask
+			if iv == v {
+				c = v<<originBits | int32(MTagIOpen) | ic&originMask
+			}
+			if sv == v {
+				c = v<<originBits | int32(MTagSub)
+			}
+			dst[idx] = trim(c, v, int32(lo+idx), n, m)
+		}
+	}
+	return iw, dw, mw
+}
+
+// trim returns cell c of offset v on diagonal k, or InvalidCell when the
+// offset lies outside the DP-matrix of a pair with |a| = n and |b| = m:
+// v < 0 (an invalid source), v > m, or i = v-k > n. The kernel always
+// passes k >= -n, so one unsigned compare against min(m, n+k) covers all
+// three.
+func trim(c, v, k, n, m int32) int32 {
+	if uint32(v) > uint32(min(m, n+k)) {
+		return InvalidCell
+	}
+	return c
 }
