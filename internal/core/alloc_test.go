@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mem"
@@ -49,5 +50,58 @@ func TestMachineTickZeroAllocSteadyState(t *testing.T) {
 	}
 	if m.Regs.Errored() {
 		t.Fatal("measured job errored")
+	}
+}
+
+// TestMachineSkipJumpZeroAlloc pins the event-skipping path to the same
+// contract: on a warmed machine, a SkipTicks jump — Controller, Extractor,
+// Aligner, Collector and FIFO jumps included — runs without a heap
+// allocation. The measured jumps are one-tick steps through a single inert
+// window, which the horizon contract allows: a window of n ticks may be
+// crossed in any split of its first n-1.
+func TestMachineSkipJumpZeroAlloc(t *testing.T) {
+	const runs = 16
+	cfg := testConfig()
+	g := seqgen.New(73, 74)
+	set := &seqio.InputSet{}
+	for i := 0; i < 4; i++ {
+		set.Pairs = append(set.Pairs, g.Pair(uint32(i+1), 1000, 0.05))
+	}
+	img, err := set.BuildImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := NewStandaloneMachine(cfg, 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetSimMode(SimSkip)
+	inputAddr := int64(0)
+	outputAddr := (int64(len(img)) + mem.BeatBytes + 15) &^ 15
+	want, _ := driveJob(t, m, set, false, inputAddr, outputAddr)
+
+	// Tick the identical job up to a window wide enough for every measured
+	// jump (AllocsPerRun adds one warm-up call).
+	configureJob(t, m, set, false, inputAddr, outputAddr)
+	for m.Tick(); ; m.Tick() {
+		if !m.running {
+			t.Fatalf("job ended before a %d-tick skip window opened", runs+2)
+		}
+		if n, ok := m.NextEventIn(); ok && n >= runs+2 {
+			break
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { m.SkipTicks(1) }); allocs != 0 {
+		t.Errorf("SkipTicks allocated %v objects per jump in steady state, want 0", allocs)
+	}
+	if _, err := m.Run(500_000_000); err != nil {
+		t.Fatal(err)
+	}
+	count, err := m.Regs.Read(RegOutCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Memory().Read(outputAddr, int(count)*mem.BeatBytes); !bytes.Equal(got, want) {
+		t.Fatal("job crossed in one-tick jumps produced different output")
 	}
 }

@@ -19,8 +19,8 @@ type SeqRAM struct {
 	Words []uint32
 }
 
-// LoadSeqRAM packs a byte sequence into a SeqRAM. The caller must have
-// validated the alphabet (the Extractor rejects 'N' before loading).
+// LoadSeqRAM packs a byte sequence into a SeqRAM. A base outside the
+// accelerator alphabet (e.g. 'N') is an error.
 func LoadSeqRAM(id uint32, seq []byte) (*SeqRAM, error) {
 	r := &SeqRAM{}
 	if err := LoadSeqRAMInto(r, id, seq); err != nil {
@@ -32,7 +32,9 @@ func LoadSeqRAM(id uint32, seq []byte) (*SeqRAM, error) {
 // LoadSeqRAMInto packs a byte sequence into dst, reusing dst's word storage.
 // The Extractor loads each pair into its target Aligner's retained SeqRAMs
 // through this form, so dispatching allocates nothing once the buffers have
-// grown to the job's read length.
+// grown to the job's read length. A base outside the accelerator alphabet
+// is an error, and the Extractor relies on it as its one alphabet check per
+// read; dst must then not be used until a later load succeeds.
 func LoadSeqRAMInto(dst *SeqRAM, id uint32, seq []byte) error {
 	words, err := seqio.PackSequenceInto(dst.Words[:0], seq)
 	if err != nil {

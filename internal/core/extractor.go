@@ -209,23 +209,18 @@ func (e *Extractor) dispatch(cycle int64) {
 	}
 	var seqA, seqB *SeqRAM
 	if !e.unsupported {
-		a := e.rawA[:e.lenA]
-		b := e.rawB[:e.lenB]
-		// 'N' (unknown) bases make the read unsupported.
-		if seqio.ValidateSequence(a) != nil || seqio.ValidateSequence(b) != nil {
+		// Load into the target Aligner's retained RAM images so the steady
+		// state of a job stream allocates nothing per pair. The 2-bit pack
+		// is the alphabet check: an 'N' (unknown) base fails it and makes
+		// the read unsupported.
+		err := LoadSeqRAMInto(&e.target.seqABuf, e.id, e.rawA[:e.lenA])
+		if err == nil {
+			err = LoadSeqRAMInto(&e.target.seqBBuf, e.id, e.rawB[:e.lenB])
+		}
+		if err != nil {
 			e.unsupported = true
 		} else {
-			// Load into the target Aligner's retained RAM images so the
-			// steady state of a job stream allocates nothing per pair.
-			err := LoadSeqRAMInto(&e.target.seqABuf, e.id, a)
-			if err == nil {
-				err = LoadSeqRAMInto(&e.target.seqBBuf, e.id, b)
-			}
-			if err != nil {
-				e.unsupported = true
-			} else {
-				seqA, seqB = &e.target.seqABuf, &e.target.seqBBuf
-			}
+			seqA, seqB = &e.target.seqABuf, &e.target.seqBBuf
 		}
 	}
 	e.readingByID[e.id] = cycle - e.pairStartCycle //vet:allow hotalloc bounded per-job bookkeeping; bucket capacity reused via clear()

@@ -62,13 +62,16 @@ func (e *Extractor) SkipTicks(k uint64) {
 		return
 	}
 	if e.beatIdx < e.pairBeats {
-		invariant.Checkf(e.inFIFO.Empty(), "core", "Extractor.SkipTicks(%d) with input data visible", k)
+		if !e.inFIFO.Empty() {
+			invariant.Failf("core", "Extractor.SkipTicks(%d) with input data visible", k)
+		}
 		e.Stats.WaitDataCycles += n
 		return
 	}
 	if e.dispatchWait > 0 {
-		invariant.Checkf(n < int64(e.dispatchWait), "core",
-			"Extractor.SkipTicks(%d) overshoots dispatch in %d", k, e.dispatchWait)
+		if n >= int64(e.dispatchWait) {
+			invariant.Failf("core", "Extractor.SkipTicks(%d) overshoots dispatch in %d", k, e.dispatchWait)
+		}
 		e.Stats.DispatchWaitCycles += n
 		e.dispatchWait -= int(n)
 	}
@@ -99,8 +102,9 @@ func (a *AlignerHW) SkipTicks(k uint64) {
 	case alignerDraining:
 		invariant.Failf("core", "AlignerHW.SkipTicks(%d) while draining", k)
 	case alignerRunning:
-		invariant.Checkf(n <= a.busy, "core",
-			"AlignerHW.SkipTicks(%d) overshoots busy countdown %d", k, a.busy)
+		if n > a.busy {
+			invariant.Failf("core", "AlignerHW.SkipTicks(%d) overshoots busy countdown %d", k, a.busy)
+		}
 		a.Stats.BusyCycles += n
 		a.busy -= n
 	}
@@ -134,5 +138,7 @@ func (c *Collector) SkipTicks(k uint64) {
 		c.BackpressureCycles += int64(k)
 		return
 	}
-	invariant.Checkf(len(c.chunkPayload) == 0, "core", "Collector.SkipTicks(%d) with chunk pending", k)
+	if len(c.chunkPayload) != 0 {
+		invariant.Failf("core", "Collector.SkipTicks(%d) with chunk pending", k)
+	}
 }

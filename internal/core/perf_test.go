@@ -17,7 +17,7 @@ import (
 func perfTestSet(t *testing.T) *seqio.InputSet {
 	t.Helper()
 	set := seqgen.SetFor(seqgen.Profile{Name: "perf", Length: 200, ErrorRate: 0.08, NumPairs: 6})
-	// One unsupported pair: an 'N' base fails ValidateSequence.
+	// One unsupported pair: an 'N' base fails the Extractor's 2-bit pack.
 	set.Pairs = append(set.Pairs, seqio.Pair{ID: 999, A: []byte("ACGNACGT"), B: []byte("ACGTACGT")})
 	return set
 }

@@ -136,6 +136,8 @@ func (m *Machine) NextEventIn() (uint64, bool) {
 // NextEventIn: module jumps, bulk DMA stall accounting, the derived
 // registers, and the cycle counter — exactly what k naive Tick calls would
 // have done, in one step.
+//
+//vet:hotpath
 func (m *Machine) SkipTicks(k uint64) {
 	n := int64(k)
 	m.cycle += n

@@ -35,14 +35,14 @@ func BuildIndex(ref []byte, k int) (*Index, error) {
 	if len(ref) < k {
 		return nil, fmt.Errorf("mapper: reference of %d bases shorter than k=%d", len(ref), k)
 	}
-	if err := seqio.ValidateSequence(ref); err != nil {
-		return nil, fmt.Errorf("mapper: reference: %w", err)
-	}
 	ix := &Index{K: k, Ref: ref, buckets: make(map[uint64][]int32)}
 	mask := uint64(1)<<(2*k) - 1
 	var kmer uint64
 	for i := 0; i < len(ref); i++ {
-		code, _ := seqio.Code2Bit(ref[i]) //vet:allow errpath ref was validated above, Code2Bit cannot fail
+		code, err := seqio.Code2Bit(ref[i])
+		if err != nil {
+			return nil, fmt.Errorf("mapper: reference: position %d: %w", i, err)
+		}
 		kmer = (kmer<<2 | uint64(code)) & mask
 		if i >= k-1 {
 			ix.buckets[kmer] = append(ix.buckets[kmer], int32(i-k+1))

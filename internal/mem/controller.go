@@ -362,12 +362,15 @@ func (c *Controller) NextEventIn() (uint64, bool) {
 // would have: cycle count, busy/idle cycles, and wait accounting for ports
 // queued behind the active transaction.
 func (c *Controller) SkipTicks(k uint64) {
-	invariant.Checkf(c.storm == 0, "mem", "Controller.SkipTicks during stall storm (%d left)", c.storm)
+	if c.storm != 0 {
+		invariant.Failf("mem", "Controller.SkipTicks during stall storm (%d left)", c.storm)
+	}
 	n := int64(k)
 	c.cycle += n
 	if c.active != nil {
-		invariant.Checkf(n <= int64(c.cooldown), "mem",
-			"Controller.SkipTicks(%d) overshoots beat completion in %d", k, c.cooldown)
+		if n > int64(c.cooldown) {
+			invariant.Failf("mem", "Controller.SkipTicks(%d) overshoots beat completion in %d", k, c.cooldown)
+		}
 		c.cooldown -= int(n)
 		c.BusyCycles += n
 		for _, p := range c.ports {
@@ -378,8 +381,9 @@ func (c *Controller) SkipTicks(k uint64) {
 		return
 	}
 	for _, p := range c.ports {
-		invariant.Checkf(len(p.pending) == 0, "mem",
-			"Controller.SkipTicks(%d) with port %q pending arbitration", k, p.name)
+		if len(p.pending) != 0 {
+			invariant.Failf("mem", "Controller.SkipTicks(%d) with port %q pending arbitration", k, p.name)
+		}
 	}
 	c.IdleCycles += n
 }

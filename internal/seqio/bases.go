@@ -34,26 +34,42 @@ const (
 	BaseN byte = 'N'
 )
 
-// Alphabet is the set of bases the accelerator accepts, in code order.
+// Alphabet is the set of bases the accelerator accepts, in code order: the
+// decode direction of baseCode.
 var Alphabet = [4]byte{BaseA, BaseC, BaseG, BaseT}
+
+// validBase marks a baseCode entry as a member of the alphabet; the low two
+// bits of a marked entry are the base's 2-bit code.
+const validBase = 4
+
+// baseCode is the accelerator alphabet, indexed by base byte: ACGT in either
+// case map to validBase|code, every other byte (including 'N') to 0. It is
+// the repository's only definition of which bytes the Extractor accepts
+// (Section 4.2); Code2Bit, ValidateSequence and the packers all index it
+// inline.
+var baseCode = [256]uint8{
+	'A': validBase | 0, 'a': validBase | 0,
+	'C': validBase | 1, 'c': validBase | 1,
+	'G': validBase | 2, 'g': validBase | 2,
+	'T': validBase | 3, 't': validBase | 3,
+}
 
 // ErrUnsupportedBase reports a byte outside the accelerator's alphabet.
 var ErrUnsupportedBase = errors.New("seqio: unsupported base")
 
+// unsupportedBase builds the rejection error for b, shared by every entry
+// point that reads baseCode.
+func unsupportedBase(b byte) error {
+	return fmt.Errorf("%w: %q", ErrUnsupportedBase, b) //vet:allow hotalloc error construction on the reject path only
+}
+
 // Code2Bit returns the 2-bit code of a base byte: A=0, C=1, G=2, T=3.
 // Lowercase input is accepted. Any other byte (including 'N') is an error.
 func Code2Bit(b byte) (uint8, error) {
-	switch b {
-	case 'A', 'a':
-		return 0, nil
-	case 'C', 'c':
-		return 1, nil
-	case 'G', 'g':
-		return 2, nil
-	case 'T', 't':
-		return 3, nil
+	if c := baseCode[b]; c != 0 {
+		return c & 3, nil
 	}
-	return 0, fmt.Errorf("%w: %q", ErrUnsupportedBase, b) //vet:allow hotalloc error construction on the reject path only
+	return 0, unsupportedBase(b)
 }
 
 // Base2Bit returns the base byte for a 2-bit code (only the low two bits are
@@ -66,8 +82,8 @@ func Base2Bit(code uint8) byte {
 // and returns the index of the first offending byte.
 func ValidateSequence(s []byte) error {
 	for i, b := range s {
-		if _, err := Code2Bit(b); err != nil {
-			return fmt.Errorf("seqio: position %d: %w", i, err) //vet:allow hotalloc error construction on the reject path only
+		if baseCode[b] == 0 {
+			return fmt.Errorf("seqio: position %d: %w", i, unsupportedBase(b)) //vet:allow hotalloc error construction on the reject path only
 		}
 	}
 	return nil
@@ -82,11 +98,11 @@ func PackWord(bases []byte) (uint32, error) {
 	}
 	var w uint32
 	for i, b := range bases {
-		code, err := Code2Bit(b)
-		if err != nil {
-			return 0, err
+		c := baseCode[b]
+		if c == 0 {
+			return 0, unsupportedBase(b)
 		}
-		w |= uint32(code) << (2 * i)
+		w |= uint32(c&3) << (2 * i)
 	}
 	return w, nil
 }

@@ -2,31 +2,56 @@ package seqio
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestCode2Bit checks all 256 byte values against the documented
+// accelerator alphabet — A, C, G, T in either case, codes 0-3, everything
+// else rejected — through Code2Bit and every other entry point that reads
+// the alphabet table, including the exact error text and the reported
+// position, and checks that Base2Bit inverts each accepted code.
 func TestCode2Bit(t *testing.T) {
-	for i, b := range Alphabet {
+	for v := 0; v < 256; v++ {
+		b := byte(v)
+		want := strings.IndexByte("ACGT", b)
+		if want < 0 {
+			want = strings.IndexByte("acgt", b)
+		}
 		code, err := Code2Bit(b)
-		if err != nil || int(code) != i {
-			t.Errorf("Code2Bit(%c) = %d, %v", b, code, err)
+		if want >= 0 {
+			if err != nil || int(code) != want {
+				t.Errorf("Code2Bit(%q) = %d, %v; want %d", b, code, err, want)
+			}
+			if got := Base2Bit(code); got != "ACGT"[want] {
+				t.Errorf("Base2Bit(%d) = %q, want %q", code, got, "ACGT"[want])
+			}
+			if err := ValidateSequence([]byte{'A', 'c', b}); err != nil {
+				t.Errorf("ValidateSequence rejected %q: %v", b, err)
+			}
+			if w, err := PackWord([]byte{'C', b}); err != nil || w != 1|uint32(want)<<2 {
+				t.Errorf("PackWord(C%q) = %#x, %v; want %#x", b, w, err, 1|uint32(want)<<2)
+			}
+			continue
 		}
-		if Base2Bit(code) != b {
-			t.Errorf("Base2Bit(%d) = %c want %c", code, Base2Bit(code), b)
+		wantErr := fmt.Sprintf("seqio: unsupported base: %q", b)
+		if err == nil || !errors.Is(err, ErrUnsupportedBase) || err.Error() != wantErr {
+			t.Errorf("Code2Bit(%q) = %d, %v; want error %q", b, code, err, wantErr)
 		}
-	}
-	lower := []byte("acgt")
-	for i, b := range lower {
-		code, err := Code2Bit(b)
-		if err != nil || int(code) != i {
-			t.Errorf("Code2Bit(%c) = %d, %v", b, code, err)
+		err = ValidateSequence([]byte{'A', 'c', b, 'G'})
+		if wantPos := "seqio: position 2: " + wantErr; err == nil || !errors.Is(err, ErrUnsupportedBase) || err.Error() != wantPos {
+			t.Errorf("ValidateSequence(Ac%qG) = %v; want %q", b, err, wantPos)
 		}
-	}
-	for _, bad := range []byte{'N', 'n', 'U', ' ', 0} {
-		if _, err := Code2Bit(bad); err == nil {
-			t.Errorf("Code2Bit(%q) accepted", bad)
+		if _, err := PackWord([]byte{'C', b}); err == nil || err.Error() != wantErr {
+			t.Errorf("PackWord(C%q) = %v; want %q", b, err, wantErr)
+		}
+		wantWord := "seqio: word 1: " + wantErr
+		if _, err := PackSequence(append(bytes.Repeat([]byte("T"), BasesPerWord), b)); err == nil || err.Error() != wantWord {
+			t.Errorf("PackSequence(T*16 %q) = %v; want %q", b, err, wantWord)
 		}
 	}
 }

@@ -136,7 +136,6 @@ func (s *Server) runDeviceBatch(d *device, b *batch) (good bool) {
 	d.batchSeq++
 	opts.Verify.Seed ^= uint64(d.id)<<32 ^ d.batchSeq*0x9E3779B97F4A7C15
 	if opts.Verify.Mode != integrity.ModeOff && d.suspicion >= s.cfg.SDCEscalateThreshold {
-		opts.VerifyScores = false
 		opts.Verify = integrity.Policy{Mode: integrity.ModeFull}
 		s.metrics.SDCEscalations.Add(1)
 	}
@@ -241,7 +240,7 @@ func (s *Server) softwareLoop() {
 
 // runSoftwareTask answers one pair with the pure-software WFA — the
 // worker's soc.SoftwareAligner, the same rule the resilient fallback and the
-// VerifyScores oracle use, which is what makes the software tier
+// shadow-verification oracle use, which is what makes the software tier
 // answer-for-answer interchangeable with the hardware path.
 func (s *Server) runSoftwareTask(sw *soc.SoftwareAligner, t *task) {
 	if t.expired() {

@@ -117,7 +117,9 @@ func (f *FIFO[T]) NextEventIn() (uint64, bool) {
 // occupancy by the last executed Tick — a no-op is bit-identical to k
 // naive Tick calls.
 func (f *FIFO[T]) SkipTicks(k uint64) {
-	invariant.Checkf(len(f.staged) == 0, "sim", "FIFO.SkipTicks with %d staged pushes", len(f.staged))
+	if len(f.staged) != 0 {
+		invariant.Failf("sim", "FIFO.SkipTicks with %d staged pushes", len(f.staged))
+	}
 	_ = k
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/integrity"
 )
 
 // The chaos campaigns submit one input set through RunResilient under a
@@ -17,8 +18,8 @@ import (
 // pass or always fail.
 
 // checkChaosOutcomes compares a resilient run against the per-pair software
-// baseline (alignSoftware reproduces the accelerator's unsupported-read and
-// k_max semantics exactly).
+// baseline (SoftwareAligner.Align reproduces the accelerator's
+// unsupported-read and k_max semantics exactly).
 func checkChaosOutcomes(t *testing.T, s *SoC, rep *ResilientReport, opts ResilientOptions, pairs int) {
 	t.Helper()
 	if len(rep.Outcomes) != pairs {
@@ -63,7 +64,7 @@ func TestChaosCampaigns(t *testing.T) {
 			name: "silent-corruption-bt",
 			fc: fault.Config{Seed: 202, DataFlipProb: 0.01, WavefrontFlipProb: 0.002,
 				OutputFlipProb: 0.05, OutputDropProb: 0.02},
-			opts: ResilientOptions{Backtrace: true, VerifyScores: true},
+			opts: ResilientOptions{Backtrace: true, Verify: integrity.Policy{Mode: integrity.ModeFull}},
 		},
 		{
 			// Every completion interrupt is dropped: WaitIRQ reports
@@ -119,7 +120,7 @@ func TestChaosCampaigns(t *testing.T) {
 				DataFlipProb: 0.005, WavefrontFlipProb: 0.001,
 				OutputFlipProb: 0.01, OutputDropProb: 0.005,
 				IRQDropProb: 0.5, IRQSpuriousProb: 0.001},
-			opts:     ResilientOptions{UseIRQ: true, VerifyScores: true},
+			opts:     ResilientOptions{UseIRQ: true, Verify: integrity.Policy{Mode: integrity.ModeFull}},
 			watchdog: 3000,
 		},
 	}
@@ -144,20 +145,20 @@ func TestChaosCampaigns(t *testing.T) {
 			}
 			checkChaosOutcomes(t, s, rep, c.opts, len(set.Pairs))
 			for i, p := range set.Pairs {
-				want := s.alignSoftware(p, c.opts.Backtrace)
+				want, _ := s.sw.Align(p, c.opts.Backtrace)
 				got := rep.Outcomes[i]
 				if got.ID != p.ID {
 					t.Fatalf("outcome %d: ID %d want %d", i, got.ID, p.ID)
 				}
-				if got.Result.Success != want.res.Success {
-					t.Fatalf("pair %d: success=%v software=%v", p.ID, got.Result.Success, want.res.Success)
+				if got.Result.Success != want.Success {
+					t.Fatalf("pair %d: success=%v software=%v", p.ID, got.Result.Success, want.Success)
 				}
-				if got.Result.Success && got.Result.Score != want.res.Score {
-					t.Fatalf("pair %d: score=%d software=%d", p.ID, got.Result.Score, want.res.Score)
+				if got.Result.Success && got.Result.Score != want.Score {
+					t.Fatalf("pair %d: score=%d software=%d", p.ID, got.Result.Score, want.Score)
 				}
 				if c.opts.Backtrace && got.Result.Success &&
-					got.Result.CIGAR.String() != want.res.CIGAR.String() {
-					t.Fatalf("pair %d: CIGAR %s software %s", p.ID, got.Result.CIGAR, want.res.CIGAR)
+					got.Result.CIGAR.String() != want.CIGAR.String() {
+					t.Fatalf("pair %d: CIGAR %s software %s", p.ID, got.Result.CIGAR, want.CIGAR)
 				}
 			}
 			if rep.FaultEvents == 0 {
@@ -196,7 +197,7 @@ func TestChaosDeterminism(t *testing.T) {
 		DataFlipProb: 0.005, WavefrontFlipProb: 0.002,
 		OutputFlipProb: 0.01, OutputDropProb: 0.01,
 		IRQDropProb: 0.5, IRQSpuriousProb: 0.001}
-	opts := ResilientOptions{UseIRQ: true, VerifyScores: true}
+	opts := ResilientOptions{UseIRQ: true, Verify: integrity.Policy{Mode: integrity.ModeFull}}
 	run := func() (*ResilientReport, string) {
 		cfg := testConfig()
 		cfg.WatchdogCycles = 3000

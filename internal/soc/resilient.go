@@ -66,11 +66,6 @@ type ResilientOptions struct {
 	// UseIRQ completes attempts through the interrupt path instead of
 	// polling, exercising the lost-IRQ recovery.
 	UseIRQ bool
-	// VerifyScores is the legacy all-or-nothing oracle switch: it maps to
-	// Verify.Mode = integrity.ModeFull (every hardware result cross-checked
-	// against the software WFA). Setting it together with an explicit
-	// non-full Verify mode is a conflict and rejected by Validate.
-	VerifyScores bool
 	// Verify selects the integrity-verification policy (internal/integrity):
 	// the zero value is ModeWitness — cheap per-pair witnesses, hardware SDC
 	// evidence discard and the post-job readback audit are ON by default and
@@ -135,15 +130,6 @@ func (o ResilientOptions) resolve() (resilientParams, error) {
 	p.verifyMode = o.Verify.Mode
 	p.permyriad = o.Verify.Permyriad()
 	p.verifySeed = o.Verify.Seed
-	if o.VerifyScores {
-		switch o.Verify.Mode {
-		case integrity.ModeWitness, integrity.ModeFull:
-			// The legacy switch selects (or confirms) the full oracle.
-			p.verifyMode = integrity.ModeFull
-		default:
-			return p, fmt.Errorf("soc: VerifyScores conflicts with Verify.Mode %v", o.Verify.Mode)
-		}
-	}
 	return p, nil
 }
 
@@ -212,12 +198,15 @@ func (s *SoC) EnableFaults(cfg fault.Config) error {
 	return nil
 }
 
-// swResult caches one pair's software alignment (the oracle and the
-// fallback share it, so each pair is software-aligned at most once).
+// swResult is one pair's software-side state for a RunResilient call: the
+// pair's support verdict, decided once up front, and its cached software
+// alignment (the oracle and the fallback share it, so each pair is
+// software-aligned at most once).
 type swResult struct {
-	res   align.Result
-	stats cpumodel.WFAStats
-	done  bool
+	supported bool
+	res       align.Result
+	stats     cpumodel.WFAStats
+	done      bool
 }
 
 // verifier bundles the resolved integrity policy with the per-config score
@@ -231,6 +220,8 @@ type verifier struct {
 
 // pairSupported is SoftwareAlign's unsupported-pair rule: the
 // software-visible notion of "the hardware can process this pair at all".
+// RunResilient evaluates it once per pair and carries the verdict in
+// swResult.supported.
 func pairSupported(cfg core.Config, p seqio.Pair) bool {
 	return len(p.A) <= cfg.MaxReadLenCap && len(p.B) <= cfg.MaxReadLenCap &&
 		seqio.ValidateSequence(p.A) == nil && seqio.ValidateSequence(p.B) == nil
@@ -240,7 +231,7 @@ func pairSupported(cfg core.Config, p seqio.Pair) bool {
 // submits the set to the accelerator, classifies failures through the
 // driver's sentinel errors, retries with reset-and-resubmit up to
 // MaxAttempts, validates every per-pair result against the Config penalty
-// bounds (and the software oracle when VerifyScores is set), and finally
+// bounds (and the software oracle as Verify selects), and finally
 // degrades to the pure-software WFA for any pair the hardware could not
 // deliver. The returned report always covers every input pair.
 func (s *SoC) RunResilient(set *seqio.InputSet, opts ResilientOptions) (*ResilientReport, error) {
@@ -292,6 +283,9 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 	}
 
 	sw := make([]swResult, len(set.Pairs))
+	for i, p := range set.Pairs {
+		sw[i].supported = pairSupported(s.Cfg, p)
+	}
 	accepted := make([]bool, len(set.Pairs))
 	acceptedCount := 0
 
@@ -633,7 +627,7 @@ func (s *SoC) validateOutcome(i int, p seqio.Pair, out PairOutcome, opts Resilie
 			if opts.Backtrace {
 				// The CIGAR is its own witness: it must replay over the pair
 				// and re-price to the reported score.
-				if res.CIGAR.Validate(p.A, p.B) != nil || res.CIGAR.Score(pen) != res.Score {
+				if integrity.CheckCIGAR(res.CIGAR, p.A, p.B, res.Score, pen) != nil {
 					return false
 				}
 			}
@@ -641,7 +635,7 @@ func (s *SoC) validateOutcome(i int, p seqio.Pair, out PairOutcome, opts Resilie
 		return true
 	}
 
-	supported := pairSupported(s.Cfg, p)
+	supported := sw[i].supported
 	rep.WitnessChecks++
 	rep.IntegrityCycles += s.Costs.ResultWitnessCycles(int64(len(res.CIGAR)))
 	if res.Success {
@@ -676,28 +670,26 @@ func (s *SoC) validateOutcome(i int, p seqio.Pair, out PairOutcome, opts Resilie
 	return true
 }
 
-// software returns pair i's software alignment, computing and caching it on
-// first use (the oracle and the fallback share the cache).
+// software returns pair i's software alignment on the SoC's own reusable
+// aligners, computing and caching it on first use (the oracle and the
+// fallback share the cache). An unsupported pair fails with zero stats, as
+// SoftwareAligner.Align reports it, without re-checking the rule.
 func (s *SoC) software(i int, p seqio.Pair, withCIGAR bool, sw []swResult) swResult {
-	if !sw[i].done {
-		sw[i] = s.alignSoftware(p, withCIGAR)
-		sw[i].done = true
+	r := &sw[i]
+	if !r.done {
+		if r.supported {
+			r.res, r.stats = s.sw.alignSupported(p, withCIGAR)
+		}
+		r.done = true
 	}
-	return sw[i]
-}
-
-// alignSoftware reproduces the accelerator's semantics in software, on the
-// SoC's own reusable aligners.
-func (s *SoC) alignSoftware(p seqio.Pair, withCIGAR bool) swResult {
-	res, stats := s.sw.Align(p, withCIGAR)
-	return swResult{res: res, stats: stats}
+	return *r
 }
 
 // SoftwareAlign reproduces the accelerator's per-pair semantics in pure
 // software: unsupported reads (over the hardware cap or containing unknown
 // bases) fail with Success = false, everything else runs the WFA under the
 // hardware's k_max window. It is the one definition of "the right answer"
-// shared by the resilient fallback, the VerifyScores oracle and the
+// shared by the resilient fallback, the shadow-verification oracle and the
 // software-worker tier of internal/serve — which is what makes the hardware
 // and software paths interchangeable pair-by-pair. It is a one-shot wrapper
 // over SoftwareAligner; code that aligns many pairs should keep a
@@ -731,6 +723,11 @@ func (sa *SoftwareAligner) Align(p seqio.Pair, withCIGAR bool) (align.Result, cp
 	if !pairSupported(sa.cfg, p) {
 		return align.Result{Success: false}, cpumodel.WFAStats{}
 	}
+	return sa.alignSupported(p, withCIGAR)
+}
+
+// alignSupported is Align for a pair already known to pass pairSupported.
+func (sa *SoftwareAligner) alignSupported(p seqio.Pair, withCIGAR bool) (align.Result, cpumodel.WFAStats) {
 	al := sa.aligner(withCIGAR)
 	if al == nil {
 		return align.Result{Success: false}, cpumodel.WFAStats{}

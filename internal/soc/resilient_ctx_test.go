@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/integrity"
 	"repro/internal/seqgen"
 )
 
@@ -45,6 +46,11 @@ func TestResilientOptionsValidate(t *testing.T) {
 		{"negative-backoff", ResilientOptions{ResetBackoff: -3}, "ResetBackoff"},
 		{"wall-retries-cannot-bind", ResilientOptions{MaxAttempts: 3, MaxWallRetries: 3}, "never bind"},
 		{"wall-retries-on-single-attempt", ResilientOptions{MaxAttempts: 1, MaxWallRetries: 1}, "never bind"},
+		{"verify-full", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeFull}}, ""},
+		{"verify-sampled", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeSampled, Rate: 0.05}}, ""},
+		{"verify-off", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeOff}}, ""},
+		{"verify-sampled-without-rate", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeSampled}}, "sampled rate"},
+		{"verify-rate-without-sampling", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeWitness, Rate: 1}}, "requires ModeSampled"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,6 +108,14 @@ else
     go test -race -short -count=1 -run 'TestSoakChaosNoDrop' ./internal/serve/
 fi
 
+# FuzzAlignRequest (internal/serve/fuzz_test.go) fuzzes the POST /align
+# decode-and-validate path for a fixed short time on top of its checked-in
+# seed corpus (testdata/fuzz/FuzzAlignRequest), which the suite above already
+# replays: no panic, a well-formed JSON answer with an expected status for
+# every body, and a 400 for any read outside ACGTacgt.
+echo "== /align request fuzzing (10s) =="
+go test -run '^$' -fuzz FuzzAlignRequest -fuzztime 10s ./internal/serve/
+
 # BENCH_8.json is the committed capacity model for the serving layer. The
 # calibration and the queueing model are deterministic, so a diff means the
 # service's cost model really changed and the snapshot must be regenerated
