@@ -272,7 +272,9 @@ func BenchmarkBTDecode(b *testing.B) {
 }
 
 // BenchmarkExtendUnit measures the hardware Extend comparator (16 bases per
-// block, Figure 7).
+// block, Figure 7) on its two extremes: a 10,000-base run of matches, and
+// the common case of a mismatch inside the first block (on a 1K-10% pair
+// about 1.4 bases are compared per extended cell).
 func BenchmarkExtendUnit(b *testing.B) {
 	b.ReportAllocs()
 	g := seqgen.New(3, 3)
@@ -285,13 +287,29 @@ func BenchmarkExtendUnit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(seq)))
-	for i := 0; i < b.N; i++ {
-		res := core.ExtendDiag(ramA, ramB, 0, 0)
-		if res.Matches != len(seq) {
-			b.Fatal("extension did not reach the end")
-		}
+	ramC, err := core.LoadSeqRAM(0, g.RandomSequence(10000)) // unrelated: short runs
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("all-match-10K", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(seq)))
+		for i := 0; i < b.N; i++ {
+			res := core.ExtendDiag(ramA, ramB, 0, 0)
+			if res.Matches != len(seq) {
+				b.Fatal("extension did not reach the end")
+			}
+		}
+	})
+	b.Run("first-block-mismatch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pos := i % (len(seq) - 32)
+			if res := core.ExtendDiag(ramA, ramC, pos, pos); res.Blocks != 1 {
+				b.Fatal("the unrelated reads share a run of a whole block")
+			}
+		}
+	})
 }
 
 // BenchmarkImageBuild measures input-image serialization (the CPU's parse

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/wfa"
@@ -332,40 +334,54 @@ func (a *AlignerHW) executeStep(cycle int64, s int, mR Range) int64 {
 	cycles := int64(t.StepOverhead + t.ComputeLatency + t.ExtendFill)
 	a.Stats.ComputeCycles += int64(t.StepOverhead + t.ComputeLatency)
 	a.Stats.ExtendCycles += int64(t.ExtendFill)
+	// The per-batch counters stay in locals and reach a.Stats once.
+	seqA, seqB := a.seqA, a.seqB
+	var extended, blocks, maxBlocksSum, conflicts int64
 	for b := 0; b < batches; b++ {
 		base := kStart + b*P
 		// The batch's lanes that fall inside the frame column; the rest
 		// carry zero origins.
 		lo, hi := max(base, mR.Lo), min(base+P-1, mR.Hi)
 		maxBlocks := 0
-		for k := lo; k <= hi; k++ {
-			c := mwf.Cell(k)
+		cells := mwf.Span(lo, hi)
+		for idx, c := range cells {
 			if !wfa.CellValid(c) {
 				continue
 			}
-			v := wfa.CellOffset(c)
-			ext := ExtendDiag(a.seqA, a.seqB, int(v)-k, int(v))
-			mwf.SetCell(k, wfa.Pack(v+int32(ext.Matches), wfa.CellOrigin(c)))
-			a.Stats.CellsExtended++
-			a.Stats.ExtendBlocks += int64(ext.Blocks)
-			if ext.Blocks > maxBlocks {
-				maxBlocks = ext.Blocks
+			// Extend: the first 16-base block is compared here, and only a
+			// run that fills it goes on to the block loop. Trimming keeps
+			// i <= n and j <= m, so rem is never negative.
+			j := int(wfa.CellOffset(c))
+			i := j - (lo + idx)
+			matches := 0
+			if rem := min(n-i, m-j); rem > 0 {
+				// A shift of 32 or more leaves 0: a long run keeps every bit.
+				x := (seqA.Window16(i) ^ seqB.Window16(j)) & (uint32(1)<<(2*uint(rem)) - 1)
+				switch {
+				case x != 0:
+					matches = bits.TrailingZeros32(x) / 2
+				case rem <= 16:
+					matches = rem
+				default:
+					matches = 16 + extendRun(seqA, seqB, i+16, j+16)
+				}
 			}
+			cells[idx] = wfa.Pack(int32(j+matches), wfa.CellOrigin(c))
+			blk := extendBlocks(matches)
+			extended++
+			blocks += int64(blk)
+			maxBlocks = max(maxBlocks, blk)
 		}
-		cycles += int64(t.ComputeIssue + maxBlocks)
-		a.Stats.Batches++
-		a.Stats.MaxBlocksSum += int64(maxBlocks)
-		a.Stats.ComputeCycles += int64(t.ComputeIssue)
-		a.Stats.ExtendCycles += int64(maxBlocks)
+		maxBlocksSum += int64(maxBlocks)
 		// The ±1-shifted gap-source reads (rows r0-1 and r0+P) would conflict
 		// with the aligned window reads on banks P-1 and 0; the duplicated
 		// RAMs 1'/N' absorb them, and we count each absorbed access.
 		r0 := a.bank.RowOf(base)
 		if r0-1 >= 0 {
-			a.Stats.BankConflicts++
+			conflicts++
 		}
 		if r0+P < a.bank.Rows() {
-			a.Stats.BankConflicts++
+			conflicts++
 		}
 		if a.btEnabled {
 			origins := a.originsBuf[:P]
@@ -382,6 +398,15 @@ func (a *AlignerHW) executeStep(cycle int64, s int, mR Range) int64 {
 			a.Stats.BTBlocks++
 		}
 	}
+	issue := int64(batches) * int64(t.ComputeIssue)
+	cycles += issue + maxBlocksSum
+	a.Stats.CellsExtended += extended
+	a.Stats.ExtendBlocks += blocks
+	a.Stats.Batches += int64(batches)
+	a.Stats.MaxBlocksSum += maxBlocksSum
+	a.Stats.ComputeCycles += issue
+	a.Stats.ExtendCycles += maxBlocksSum
+	a.Stats.BankConflicts += conflicts
 
 	// Fault hook: a single-event upset in the Wavefront RAM line just
 	// written. Only flips that leave the offset inside the sequence grid are

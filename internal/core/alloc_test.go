@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,44 +13,70 @@ import (
 // TestMachineTickZeroAllocSteadyState is the runtime half of the hotalloc
 // contract: after one warm-up job has grown every retained buffer (SeqRAM
 // words, wavefront pools, range trackers, outbox, collector pad scratch, the
-// per-job maps), re-running the same job must drive Machine.Tick without a
-// single heap allocation. The static analyzer proves no allocation construct
-// is reachable from Tick; this test proves the ones behind cold constructors
-// and waivers really are one-time costs. NBT mode with no tracer attached is
-// the guaranteed-zero configuration (backtrace streaming and tracing are the
+// per-job maps, the FIFO and port queues), re-running the same job through
+// Machine.Run must not make a single heap allocation. The static analyzer
+// proves no allocation construct is reachable from Tick; this test proves
+// the ones behind cold constructors and waivers really are one-time costs.
+// The pin is the whole job's malloc count, not a per-tick average: a few
+// hundred objects per job average to 0 over tens of thousands of ticks.
+// Both simulation modes are pinned. NBT mode with no tracer attached is the
+// guaranteed-zero configuration (backtrace streaming and tracing are the
 // documented allocating slow paths).
 func TestMachineTickZeroAllocSteadyState(t *testing.T) {
-	cfg := testConfig()
-	g := seqgen.New(71, 72)
-	set := &seqio.InputSet{}
-	for i := 0; i < 4; i++ {
-		set.Pairs = append(set.Pairs, g.Pair(uint32(i+1), 256, 0.05))
-	}
-	img, err := set.BuildImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := NewStandaloneMachine(cfg, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputAddr := int64(0)
-	outputAddr := (int64(len(img)) + mem.BeatBytes + 15) &^ 15
+	for _, mode := range []SimMode{SimSkip, SimTicker} {
+		cfg := testConfig()
+		g := seqgen.New(71, 72)
+		set := &seqio.InputSet{}
+		for i := 0; i < 4; i++ {
+			set.Pairs = append(set.Pairs, g.Pair(uint32(i+1), 256, 0.05))
+		}
+		img, err := set.BuildImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := NewStandaloneMachine(cfg, 1<<22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetSimMode(mode)
+		inputAddr := int64(0)
+		outputAddr := (int64(len(img)) + mem.BeatBytes + 15) &^ 15
 
-	// Warm-up: the first job takes every growth path once.
-	driveJob(t, m, set, false, inputAddr, outputAddr)
+		// Warm-up: the first job takes every growth path once.
+		want, _ := driveJob(t, m, set, false, inputAddr, outputAddr)
 
-	// Steady state: restart the identical job (configuration and start are
-	// outside the measured region, like a driver reusing a machine) and
-	// measure whole Tick calls. The run count comfortably covers the full
-	// job; trailing idle ticks must be allocation-free too.
-	configureJob(t, m, set, false, inputAddr, outputAddr)
-	allocs := testing.AllocsPerRun(50000, func() { m.Tick() })
-	if allocs != 0 {
-		t.Errorf("Machine.Tick allocated %v objects/cycle in steady state, want 0", allocs)
-	}
-	if m.Regs.Errored() {
-		t.Fatal("measured job errored")
+		// Steady state: restart the identical job (configuration and start
+		// are outside the measured region, like a driver reusing a machine)
+		// and count the mallocs of the whole run. The count is process-wide,
+		// so, as testing.AllocsPerRun does, the run is measured at
+		// GOMAXPROCS 1, where no other goroutine allocates beside it; the
+		// collection first starts the runtime's mark workers, whose first
+		// start would otherwise be counted against the job.
+		configureJob(t, m, set, false, inputAddr, outputAddr)
+		procs := runtime.GOMAXPROCS(1)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = m.Run(500_000_000)
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("mode %d: a warmed job allocated %d objects (%d B), want 0",
+				mode, n, after.TotalAlloc-before.TotalAlloc)
+		}
+		if m.Regs.Errored() {
+			t.Fatal("measured job errored")
+		}
+		count, err := m.Regs.Read(RegOutCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Memory().Read(outputAddr, int(count)*mem.BeatBytes); !bytes.Equal(got, want) {
+			t.Fatalf("mode %d: measured job produced different output", mode)
+		}
 	}
 }
 

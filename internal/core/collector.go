@@ -43,7 +43,8 @@ type Collector struct {
 	// into the output FIFO, latched into RegOutCRC each cycle. It runs on
 	// the pre-FIFO side, so output-path faults (flipped or dropped beats in
 	// the DMA write engine) make the memory image disagree with it.
-	outCRC uint32
+	outCRC  uint32
+	crcBeat [mem.BeatBytes]byte // the beat outCRC last read
 
 	// Emitted and BackpressureCycles are monotone over the machine's lifetime
 	// (they survive Reset/Configure, unlike Transactions, which feeds the
@@ -200,5 +201,8 @@ func (c *Collector) push(beat [mem.BeatBytes]byte) {
 	}
 	c.Transactions++
 	c.Emitted++
-	c.outCRC = integrity.CRCUpdate(c.outCRC, beat[:])
+	// The CRC reads the Collector's own copy: a slice of the by-value
+	// parameter would move it to the heap on every beat.
+	c.crcBeat = beat
+	c.outCRC = integrity.CRCUpdate(c.outCRC, c.crcBeat[:])
 }

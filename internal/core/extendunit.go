@@ -66,34 +66,44 @@ type ExtendResult struct {
 	Blocks  int // 16-base comparator iterations consumed (>= 1)
 }
 
+// extendBlocks is the comparator's block count for a run of matches: the
+// unit compares 16 bases per block and stops in the block that holds the
+// mismatch or the sequence end, so a run of r matches takes r/16+1 blocks
+// (a run that ends exactly on a block edge takes one more block to see the
+// end). This is the one place the count is derived.
+func extendBlocks(matches int) int { return matches/16 + 1 }
+
 // ExtendDiag runs the Extend sub-module: starting at position i of sequence
 // a and j of sequence b, compare 16-base blocks per cycle until a mismatch
 // or a sequence end (Section 4.3.2). It is the hardware counterpart of the
 // software extend() in internal/wfa; the integration tests assert both
 // produce identical offsets.
 func ExtendDiag(a, b *SeqRAM, i, j int) ExtendResult {
-	res := ExtendResult{}
-	rem := min(a.Length-i, b.Length-j) // bases left on the diagonal
-	for {
-		res.Blocks++
-		if rem <= 0 {
-			return res
+	matches := extendRun(a, b, i, j)
+	return ExtendResult{Matches: matches, Blocks: extendBlocks(matches)}
+}
+
+// extendRun counts the matching bases from position i of a and j of b, one
+// 16-base block at a time. It is the only multi-block compare loop; the
+// Aligner tries a cell's first block inline and calls it only for a run
+// that fills that block.
+func extendRun(a, b *SeqRAM, i, j int) int {
+	matches := 0
+	rem := min(a.Length-i, b.Length-j)
+	for ; rem >= 16; rem -= 16 {
+		if x := a.Window16(i) ^ b.Window16(j); x != 0 {
+			return matches + bits.TrailingZeros32(x)/2
 		}
-		x := a.Window16(i) ^ b.Window16(j)
-		if rem < 16 {
-			// The block straddles a sequence end: compare only rem bases.
-			if x &= 1<<(2*rem) - 1; x == 0 {
-				res.Matches += rem
-				return res
-			}
-		} else if x == 0 {
-			res.Matches += 16
-			i += 16
-			j += 16
-			rem -= 16
-			continue
-		}
-		res.Matches += bits.TrailingZeros32(x) / 2
-		return res
+		matches += 16
+		i += 16
+		j += 16
 	}
+	if rem > 0 {
+		// The block straddles a sequence end: compare only rem bases.
+		if x := (a.Window16(i) ^ b.Window16(j)) & (1<<(2*rem) - 1); x != 0 {
+			return matches + bits.TrailingZeros32(x)/2
+		}
+		matches += rem
+	}
+	return matches
 }

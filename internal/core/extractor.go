@@ -35,6 +35,7 @@ type Extractor struct {
 	id             uint32
 	lenA, lenB     int
 	rawA, rawB     []byte
+	header         [mem.BeatBytes]byte // the header beat, witness field zeroed
 	unsupported    bool
 	crc            uint32 // running ingest CRC32C over the pair's beats
 	expectWitness  uint32 // witness extracted from the header (0 = absent)
@@ -181,17 +182,19 @@ func (e *Extractor) consumeBeat(beat [mem.BeatBytes]byte) {
 		}
 		// The ingest CRC (Section 4.2 extended by the integrity layer)
 		// accumulates over the pair block with the witness field zeroed —
-		// the same stream PairWitness checksums at build time. beat is a
-		// by-value copy, so masking it here is local.
+		// the same stream PairWitness checksums at build time. The CRC
+		// always reads the Extractor's own copy of a beat: a slice of the
+		// by-value parameter would move it to the heap on every beat.
 		e.expectWitness = binary.LittleEndian.Uint32(beat[12:16])
-		beat[12], beat[13], beat[14], beat[15] = 0, 0, 0, 0
-		e.crc = integrity.CRC(beat[:])
+		e.header = beat
+		clear(e.header[12:16])
+		e.crc = integrity.CRC(e.header[:])
 	case e.beatIdx <= seqBeats:
 		e.rawA = append(e.rawA, beat[:]...)
-		e.crc = integrity.CRCUpdate(e.crc, beat[:])
+		e.crc = integrity.CRCUpdate(e.crc, e.rawA[len(e.rawA)-mem.BeatBytes:])
 	default:
 		e.rawB = append(e.rawB, beat[:]...)
-		e.crc = integrity.CRCUpdate(e.crc, beat[:])
+		e.crc = integrity.CRCUpdate(e.crc, e.rawB[len(e.rawB)-mem.BeatBytes:])
 	}
 }
 

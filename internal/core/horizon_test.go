@@ -238,7 +238,7 @@ func eventSig(m *Machine) eventSigT {
 		emitted:       m.collector.Emitted,
 		readBeatsLeft: m.readBeatsLeft,
 		outstanding:   m.outstanding,
-		writeBufLen:   len(m.writeBuf),
+		writeBufLen:   m.writeBuf.Len(),
 		running:       m.running,
 		outCRC:        m.collector.outCRC,
 	}

@@ -103,9 +103,9 @@ func (m *Machine) NextEventIn() (uint64, bool) {
 	// DMA write engine: pending responses, FIFO data, or a flushable burst
 	// act next tick; a sub-burst backlog only accrues bulk wrBacklogCycles.
 	if m.wrPort.ResponsesPending() || !m.outFIFO.Empty() ||
-		len(m.writeBuf) >= m.cfg.Timing.Mem.BurstBeats {
+		m.writeBuf.Len() >= m.cfg.Timing.Mem.BurstBeats {
 		n = 1
-	} else if len(m.writeBuf) > 0 &&
+	} else if m.writeBuf.Len() > 0 &&
 		m.extractor.Done() && m.allAlignersIdle() && m.collector.Done() {
 		n = 1 // end-of-job flush condition holds
 	}
@@ -152,7 +152,7 @@ func (m *Machine) SkipTicks(k uint64) {
 		a.SkipTicks(k)
 	}
 	m.collector.SkipTicks(k)
-	if len(m.writeBuf) > 0 {
+	if m.writeBuf.Len() > 0 {
 		m.wrBacklogCycles += n
 	}
 	m.inFIFO.SkipTicks(k)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/invariant"
+	"repro/internal/sim"
 )
 
 // Timing parameterizes the memory controller's AXI-Full service rate.
@@ -73,9 +74,9 @@ type Port struct {
 	name string
 	ctl  *Controller
 
-	pending    []request
-	delivered  []Beat // completed read beats awaiting the client
-	writeQueue []Beat // beats the client queued for an in-flight write
+	pending    sim.Queue[request]
+	delivered  sim.Queue[Beat] // completed read beats awaiting the client
+	writeQueue sim.Queue[Beat] // beats the client queued for an in-flight write
 
 	faults      []BusFault // error responses awaiting the client
 	dropDeficit int        // write beats still owed to a faulted transaction
@@ -91,7 +92,7 @@ func (p *Port) Name() string { return p.name }
 // writeBusy reports whether the port has write-side state in flight: queued
 // or granted write transactions, or undrained write data.
 func (p *Port) writeBusy() bool {
-	for _, r := range p.pending {
+	for _, r := range p.pending.Items() {
 		if r.write {
 			return true
 		}
@@ -99,12 +100,12 @@ func (p *Port) writeBusy() bool {
 	if p.ctl.active == p && p.ctl.cur.write {
 		return true
 	}
-	return len(p.writeQueue) > 0 || p.dropDeficit > 0
+	return p.writeQueue.Len() > 0 || p.dropDeficit > 0
 }
 
 // readBusy reports whether the port has a queued or granted read transaction.
 func (p *Port) readBusy() bool {
-	for _, r := range p.pending {
+	for _, r := range p.pending.Items() {
 		if !r.write {
 			return true
 		}
@@ -126,7 +127,7 @@ func (p *Port) RequestRead(addr int64, beats int) {
 		invariant.Failf("mem",
 			"port %q: read issued at cycle %d while a write is in flight", p.name, p.ctl.cycle)
 	}
-	p.pending = append(p.pending, request{addr: addr, beats: beats})
+	p.pending.Push(request{addr: addr, beats: beats})
 }
 
 // RequestWrite enqueues a write transaction; the data beats must be supplied
@@ -142,7 +143,7 @@ func (p *Port) RequestWrite(addr int64, beats int) {
 		invariant.Failf("mem",
 			"port %q: write issued at cycle %d while a read is in flight", p.name, p.ctl.cycle)
 	}
-	p.pending = append(p.pending, request{addr: addr, beats: beats, write: true})
+	p.pending.Push(request{addr: addr, beats: beats, write: true})
 }
 
 // PushWriteBeat supplies the next data beat for the port's write stream.
@@ -153,17 +154,15 @@ func (p *Port) PushWriteBeat(b Beat) {
 		p.dropDeficit--
 		return
 	}
-	p.writeQueue = append(p.writeQueue, b)
+	p.writeQueue.Push(b)
 }
 
 // NextBeat pops one completed read beat, if any.
 func (p *Port) NextBeat() (Beat, bool) {
-	if len(p.delivered) == 0 {
+	if p.delivered.Len() == 0 {
 		return Beat{}, false
 	}
-	b := p.delivered[0]
-	p.delivered = p.delivered[1:]
-	return b, true
+	return p.delivered.Pop(), true
 }
 
 // TakeFault pops the oldest AXI error response latched on the port, if any.
@@ -179,9 +178,9 @@ func (p *Port) TakeFault() (BusFault, bool) {
 // Reset discards all queued transactions, undelivered beats, queued write
 // data and latched faults. The statistics counters survive.
 func (p *Port) Reset() {
-	p.pending = nil
-	p.delivered = nil
-	p.writeQueue = nil
+	p.pending.Clear()
+	p.delivered.Clear()
+	p.writeQueue.Clear()
 	p.faults = nil
 	p.dropDeficit = 0
 }
@@ -189,18 +188,18 @@ func (p *Port) Reset() {
 // dropWriteBeats consumes n beats of the port's write stream without letting
 // them reach memory; beats not pushed yet are swallowed on arrival.
 func (p *Port) dropWriteBeats(n int) {
-	if n >= len(p.writeQueue) {
-		p.dropDeficit += n - len(p.writeQueue)
-		p.writeQueue = p.writeQueue[:0]
+	if queued := p.writeQueue.Len(); n >= queued {
+		p.dropDeficit += n - queued
+		p.writeQueue.Clear()
 		return
 	}
-	p.writeQueue = p.writeQueue[n:]
+	p.writeQueue.Drop(n)
 }
 
 // Idle reports whether the port has no pending transactions and no undelivered
 // beats.
 func (p *Port) Idle() bool {
-	return len(p.pending) == 0 && len(p.delivered) == 0
+	return p.pending.Len() == 0 && p.delivered.Len() == 0
 }
 
 // ResponsesPending reports whether the port holds completed read beats or
@@ -208,13 +207,13 @@ func (p *Port) Idle() bool {
 // core uses it as a conservative wake condition: a client with responses
 // waiting may act on the very next tick, so no cycle may be skipped.
 func (p *Port) ResponsesPending() bool {
-	return len(p.delivered) > 0 || len(p.faults) > 0
+	return p.delivered.Len() > 0 || len(p.faults) > 0
 }
 
 // PendingBeats reports how many beats remain across queued transactions.
 func (p *Port) PendingBeats() int {
 	n := 0
-	for _, r := range p.pending {
+	for _, r := range p.pending.Items() {
 		n += r.beats
 	}
 	return n
@@ -286,7 +285,7 @@ func (c *Controller) Idle() bool {
 		return false
 	}
 	for _, p := range c.ports {
-		if len(p.pending) > 0 {
+		if p.pending.Len() > 0 {
 			return false
 		}
 	}
@@ -318,7 +317,7 @@ func (c *Controller) Tick() {
 	}
 	c.BusyCycles++
 	for _, p := range c.ports {
-		if p != c.active && len(p.pending) > 0 {
+		if p != c.active && p.pending.Len() > 0 {
 			p.WaitCycles++
 		}
 	}
@@ -350,7 +349,7 @@ func (c *Controller) NextEventIn() (uint64, bool) {
 		return uint64(c.cooldown) + 1, true
 	}
 	for _, p := range c.ports {
-		if len(p.pending) > 0 {
+		if p.pending.Len() > 0 {
 			return 1, true // next tick arbitrates
 		}
 	}
@@ -374,14 +373,14 @@ func (c *Controller) SkipTicks(k uint64) {
 		c.cooldown -= int(n)
 		c.BusyCycles += n
 		for _, p := range c.ports {
-			if p != c.active && len(p.pending) > 0 {
+			if p != c.active && p.pending.Len() > 0 {
 				p.WaitCycles += n
 			}
 		}
 		return
 	}
 	for _, p := range c.ports {
-		if len(p.pending) != 0 {
+		if p.pending.Len() != 0 {
 			invariant.Failf("mem", "Controller.SkipTicks(%d) with port %q pending arbitration", k, p.name)
 		}
 	}
@@ -392,11 +391,10 @@ func (c *Controller) arbitrate(cycle int64) {
 	n := len(c.ports)
 	for i := 0; i < n; i++ {
 		p := c.ports[(c.rrNext+i)%n]
-		if len(p.pending) == 0 {
+		if p.pending.Len() == 0 {
 			continue
 		}
-		req := p.pending[0]
-		p.pending = p.pending[1:]
+		req := p.pending.Pop()
 		c.rrNext = (c.rrNext + i + 1) % n
 		if !req.write && c.inj.LoseGrant(cycle, p.name, req.addr) {
 			// The granted transaction vanishes: no data, no response. The
@@ -428,13 +426,12 @@ func (c *Controller) completeBeat(cycle int64) {
 	p := c.active
 	addr := c.cur.addr + int64(c.beatsDone)*BeatBytes
 	if c.cur.write {
-		if len(p.writeQueue) == 0 {
+		if p.writeQueue.Len() == 0 {
 			// Data not ready: stall until the client supplies it.
 			c.cooldown = 0
 			return
 		}
-		b := p.writeQueue[0]
-		p.writeQueue = p.writeQueue[1:]
+		b := p.writeQueue.Pop()
 		b.Addr = addr
 		c.mem.WriteBeat(addr, &b.Data)
 		p.BeatsWritten++
@@ -443,7 +440,7 @@ func (c *Controller) completeBeat(cycle int64) {
 		b.Addr = addr
 		c.mem.ReadBeat(addr, &b.Data)
 		c.inj.CorruptDataBeat(cycle, p.name, addr, b.Data[:])
-		p.delivered = append(p.delivered, b)
+		p.delivered.Push(b)
 		p.BeatsRead++
 	}
 	c.beatsDone++

@@ -89,6 +89,44 @@ func ValidateSequence(s []byte) error {
 	return nil
 }
 
+// CaseFolder maps the lowercase bases acgt to ACGT, the folding baseCode
+// applies (both cases of a base share one 2-bit code), so a byte compare
+// of folded reads agrees with the accelerator. Copies are made only of
+// reads that hold a lowercase base, into one buffer the folder keeps from
+// batch to batch. The zero value is ready to use; it is not safe for
+// concurrent use.
+type CaseFolder struct {
+	buf []byte
+}
+
+// Reset starts a new batch. Copies made before it must no longer be used.
+func (f *CaseFolder) Reset() { f.buf = f.buf[:0] }
+
+// Fold returns seq with every lowercase base folded to uppercase: seq
+// itself when it holds none, otherwise a copy valid until the next Reset.
+// Every other byte is kept as it is, and seq is never written.
+func (f *CaseFolder) Fold(seq []byte) []byte {
+	i := 0
+	for i < len(seq) && (seq[i] < 'a' || baseCode[seq[i]] == 0) {
+		i++
+	}
+	if i == len(seq) {
+		return seq
+	}
+	at := len(f.buf)
+	f.buf = append(f.buf, seq...)
+	folded := f.buf[at:len(f.buf):len(f.buf)]
+	for j := i; j < len(folded); j++ {
+		if c := folded[j]; c >= 'a' && baseCode[c] != 0 {
+			folded[j] = c - ('a' - 'A')
+		}
+	}
+	return folded
+}
+
+// Folded reports whether Fold has copied a read since the last Reset.
+func (f *CaseFolder) Folded() bool { return len(f.buf) > 0 }
+
 // PackWord packs up to 16 base bytes into one little-endian 4-byte Input_Seq
 // RAM word: base i occupies bits [2i, 2i+2). Missing trailing bases pack as
 // code 0.

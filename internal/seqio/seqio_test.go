@@ -227,3 +227,36 @@ func TestPairSections(t *testing.T) {
 		t.Fatalf("PairSections(16)=%d", got)
 	}
 }
+
+// TestCaseFolder: lowercase bases fold to uppercase in a copy, every other
+// byte is kept, a read without lowercase bases is not copied, the input
+// reads are never written, and copies of one batch stay intact as the
+// buffer grows.
+func TestCaseFolder(t *testing.T) {
+	var f CaseFolder
+	upper := []byte("ACGTNACGT")
+	if got := f.Fold(upper); &got[0] != &upper[0] || f.Folded() {
+		t.Fatalf("a read without lowercase bases was copied: %q", got)
+	}
+
+	first := []byte("acgTnx")
+	second := bytes.Repeat([]byte("ttGa"), 64)
+	a := f.Fold(first)
+	b := f.Fold(second)
+	if string(a) != "ACGTnx" || string(b) != strings.Repeat("TTGA", 64) || !f.Folded() {
+		t.Fatalf("folded %q and %q", a, b)
+	}
+	if string(first) != "acgTnx" || string(second) != strings.Repeat("ttGa", 64) {
+		t.Fatalf("the input reads changed: %q, %q", first, second)
+	}
+	if cap(a) != len(a) {
+		t.Fatalf("a folded copy has spare capacity %d: an append to it would write into the buffer", cap(a)-len(a))
+	}
+	f.Reset()
+	if f.Folded() {
+		t.Fatal("Folded after Reset")
+	}
+	if got := f.Fold([]byte("gattaca")); string(got) != "GATTACA" {
+		t.Fatalf("folded %q after Reset", got)
+	}
+}

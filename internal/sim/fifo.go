@@ -23,7 +23,7 @@ const inertForever = ^uint64(0)
 // modeling the one-cycle write-to-read latency of the hardware queue.
 type FIFO[T any] struct {
 	depth  int
-	queue  []T
+	queue  Queue[T]
 	staged []T
 	// Statistics for bandwidth analysis.
 	Pushes       int64
@@ -42,17 +42,17 @@ func NewFIFO[T any](depth int) *FIFO[T] {
 func (f *FIFO[T]) Depth() int { return f.depth }
 
 // Len returns the number of words visible to the reader this cycle.
-func (f *FIFO[T]) Len() int { return len(f.queue) }
+func (f *FIFO[T]) Len() int { return f.queue.Len() }
 
 // Occupancy returns visible plus staged words (what the writer sees as
 // fullness).
-func (f *FIFO[T]) Occupancy() int { return len(f.queue) + len(f.staged) }
+func (f *FIFO[T]) Occupancy() int { return f.queue.Len() + len(f.staged) }
 
 // Full reports whether a push this cycle would overflow.
 func (f *FIFO[T]) Full() bool { return f.Occupancy() >= f.depth }
 
 // Empty reports whether the reader sees no data this cycle.
-func (f *FIFO[T]) Empty() bool { return len(f.queue) == 0 }
+func (f *FIFO[T]) Empty() bool { return f.queue.Len() == 0 }
 
 // Push stages one word; it reports false (and counts a stall) when full.
 func (f *FIFO[T]) Push(v T) bool {
@@ -68,20 +68,19 @@ func (f *FIFO[T]) Push(v T) bool {
 // Front returns the oldest visible word without consuming it.
 func (f *FIFO[T]) Front() (T, bool) {
 	var zero T
-	if len(f.queue) == 0 {
+	if f.queue.Len() == 0 {
 		return zero, false
 	}
-	return f.queue[0], true
+	return f.queue.Front(), true
 }
 
 // Pop consumes the word exposed by Front.
 func (f *FIFO[T]) Pop() (T, bool) {
 	var zero T
-	if len(f.queue) == 0 {
+	if f.queue.Len() == 0 {
 		return zero, false
 	}
-	v := f.queue[0]
-	f.queue = f.queue[1:]
+	v := f.queue.Pop()
 	f.Pops++
 	return v, true
 }
@@ -89,7 +88,7 @@ func (f *FIFO[T]) Pop() (T, bool) {
 // Tick commits staged pushes, making them visible to the reader next cycle.
 func (f *FIFO[T]) Tick() {
 	if len(f.staged) > 0 {
-		f.queue = append(f.queue, f.staged...)
+		f.queue.PushAll(f.staged)
 		f.staged = f.staged[:0]
 	}
 	if occ := f.Occupancy(); occ > f.MaxOccupancy {
@@ -125,7 +124,7 @@ func (f *FIFO[T]) SkipTicks(k uint64) {
 
 // Reset discards all contents and statistics.
 func (f *FIFO[T]) Reset() {
-	f.queue = f.queue[:0]
+	f.queue.Clear()
 	f.staged = f.staged[:0]
 	f.Pushes, f.Pops, f.StallFull = 0, 0, 0
 	f.MaxOccupancy = 0
@@ -135,6 +134,6 @@ func (f *FIFO[T]) Reset() {
 // hardware flush used between jobs, where the perf counters are monotone
 // over the machine's lifetime and only the data path is scrubbed.
 func (f *FIFO[T]) Clear() {
-	f.queue = f.queue[:0]
+	f.queue.Clear()
 	f.staged = f.staged[:0]
 }

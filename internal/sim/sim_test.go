@@ -251,3 +251,59 @@ func TestSPAsDPSerializationCount(t *testing.T) {
 		t.Fatalf("Serialized=%d", dut.Serialized)
 	}
 }
+
+// TestQueueOrderAndReuse checks Queue against a plain slice model under a
+// random mix of pushes, batch pushes, pops and drops, and that a stream
+// whose occupancy stays bounded stops growing the backing array: a queue
+// that re-sliced its front away would reallocate for ever.
+func TestQueueOrderAndReuse(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	var q Queue[int]
+	var model []int
+	next := 0
+	grows := 0
+	for step := 0; step < 20000; step++ {
+		before := cap(q.items)
+		switch op := r.IntN(4); {
+		case op == 0 && len(model) < 24:
+			q.Push(next)
+			model = append(model, next)
+			next++
+		case op == 1 && len(model) < 20:
+			batch := []int{next, next + 1, next + 2}
+			q.PushAll(batch)
+			model = append(model, batch...)
+			next += 3
+		case op == 2 && len(model) > 0:
+			if got := q.Pop(); got != model[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, got, model[0])
+			}
+			model = model[1:]
+		case op == 3 && len(model) > 0:
+			n := 1 + r.IntN(len(model))
+			q.Drop(n)
+			model = model[n:]
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, want %d", step, q.Len(), len(model))
+		}
+		for i, v := range q.Items() {
+			if v != model[i] {
+				t.Fatalf("step %d: item %d is %d, want %d", step, i, v, model[i])
+			}
+		}
+		if len(model) > 0 && q.Front() != model[0] {
+			t.Fatalf("step %d: Front %d, want %d", step, q.Front(), model[0])
+		}
+		if cap(q.items) != before {
+			grows++
+		}
+	}
+	if grows > 8 {
+		t.Errorf("backing array grew %d times for an occupancy of at most 24", grows)
+	}
+	q.Clear()
+	if q.Len() != 0 || len(q.Items()) != 0 {
+		t.Fatal("Clear left items queued")
+	}
+}

@@ -264,6 +264,10 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 		byID[p.ID&idMask] = i
 	}
 
+	// Case is folded once, before the attempt ladder: the device, the
+	// software oracle and fallback, and the CIGAR decode and witness then
+	// all read the same uppercase bases.
+	set = s.fold.apply(set)
 	rep := &ResilientReport{Outcomes: make([]PairOutcome, len(set.Pairs))}
 	p, err := opts.resolve()
 	if err != nil {
@@ -670,6 +674,31 @@ func (s *SoC) validateOutcome(i int, p seqio.Pair, out PairOutcome, opts Resilie
 	return true
 }
 
+// caseFold holds the case-folded copy of a set, its storage reused from run
+// to run.
+type caseFold struct {
+	set    seqio.InputSet
+	folder seqio.CaseFolder
+}
+
+// apply returns set with every lowercase base folded to uppercase. A set
+// without one is returned as it is. Any other comes back as f's copy, in
+// which only the reads that needed folding were copied; it is valid until
+// the next apply. The caller's set is never written.
+func (f *caseFold) apply(set *seqio.InputSet) *seqio.InputSet {
+	f.folder.Reset()
+	f.set.Pairs = f.set.Pairs[:0]
+	for _, p := range set.Pairs {
+		p.A, p.B = f.folder.Fold(p.A), f.folder.Fold(p.B)
+		f.set.Pairs = append(f.set.Pairs, p)
+	}
+	if !f.folder.Folded() {
+		return set
+	}
+	f.set.MaxReadLen = set.MaxReadLen
+	return &f.set
+}
+
 // software returns pair i's software alignment on the SoC's own reusable
 // aligners, computing and caching it on first use (the oracle and the
 // fallback share the cache). An unsupported pair fails with zero stats, as
@@ -707,6 +736,7 @@ type SoftwareAligner struct {
 	cfg   core.Config
 	score *wfa.Aligner
 	cigar *wfa.Aligner
+	fold  seqio.CaseFolder
 }
 
 // NewSoftwareAligner returns a SoftwareAligner for cfg. No aligner is built
@@ -716,13 +746,18 @@ func NewSoftwareAligner(cfg core.Config) *SoftwareAligner {
 }
 
 // Align is SoftwareAlign for one pair on the reused aligners: the same
-// unsupported-pair rule, the same result and the same stats.
+// unsupported-pair rule, the same result and the same stats. A read with
+// lowercase bases is aligned as its uppercase copy, made in a buffer the
+// aligner keeps, so a pair scores as it does on the device, whose 2-bit
+// code folds case.
 //
 //vet:hotpath
 func (sa *SoftwareAligner) Align(p seqio.Pair, withCIGAR bool) (align.Result, cpumodel.WFAStats) {
 	if !pairSupported(sa.cfg, p) {
 		return align.Result{Success: false}, cpumodel.WFAStats{}
 	}
+	sa.fold.Reset()
+	p.A, p.B = sa.fold.Fold(p.A), sa.fold.Fold(p.B)
 	return sa.alignSupported(p, withCIGAR)
 }
 

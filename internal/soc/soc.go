@@ -27,6 +27,8 @@ type SoC struct {
 
 	// sw serves the resilient fallback and the shadow oracle.
 	sw *SoftwareAligner
+	// fold is RunResilient's case-folded copy of its input set.
+	fold caseFold
 }
 
 // inputBase leaves the bottom of memory for the "OS" (flavor only).

@@ -166,6 +166,10 @@ func (w *Wavefront) Len() int {
 // padded span.
 func (w *Wavefront) Cell(k int) int32 { return w.cells[k+w.base] }
 
+// Span returns the cells of diagonals lo..hi, which must lie in the pair's
+// padded span, as a slice the caller may read and write in place.
+func (w *Wavefront) Span(lo, hi int) []int32 { return w.cells[lo+w.base : hi+w.base+1] }
+
 // SetCell stores the packed cell of diagonal k, which must lie in Lo..Hi.
 func (w *Wavefront) SetCell(k int, c int32) { w.cells[k+w.base] = c }
 
@@ -185,22 +189,28 @@ func (w *Wavefront) written() []int32 {
 	if w.Hi < w.Lo {
 		return nil
 	}
-	return w.cells[w.Lo+w.base : w.Hi+w.base+1]
+	return w.Span(w.Lo, w.Hi)
 }
 
 // retarget makes lo..hi the written range, resetting to InvalidCell only
 // the cells of the previous range that the new one does not cover: the
 // caller overwrites every cell of lo..hi.
-func (w *Wavefront) retarget(lo, hi int) {
+func (w *Wavefront) retarget(lo, hi int) { w.retargetOver(lo, hi, lo, hi) }
+
+// retargetOver makes lo..hi the written range of a row whose caller
+// overwrites every cell of wlo..whi, a range that covers lo..hi and may be
+// wider (the cells between hold InvalidCell). Only the cells of the previous
+// range outside wlo..whi are reset.
+func (w *Wavefront) retargetOver(lo, hi, wlo, whi int) {
 	if w.Lo <= w.Hi {
-		if lo > hi {
+		if wlo > whi {
 			fillInvalid(w.cells[w.Lo+w.base : w.Hi+w.base+1])
 		} else {
-			if w.Lo < lo {
-				fillInvalid(w.cells[w.Lo+w.base : min(w.Hi, lo-1)+w.base+1])
+			if w.Lo < wlo {
+				fillInvalid(w.cells[w.Lo+w.base : min(w.Hi, wlo-1)+w.base+1])
 			}
-			if w.Hi > hi {
-				fillInvalid(w.cells[max(w.Lo, hi+1)+w.base : w.Hi+w.base+1])
+			if w.Hi > whi {
+				fillInvalid(w.cells[max(w.Lo, whi+1)+w.base : w.Hi+w.base+1])
 			}
 		}
 	}
@@ -328,18 +338,22 @@ func (w *Window) clamp(lo, hi int) (int, int) {
 	return max(lo, w.kLo), min(hi, w.kHi)
 }
 
-// union returns the union of two written ranges shifted by d (empty when
+// hull returns the smallest range covering lo1..hi1 and lo2..hi2, either
+// of which may be empty (lo > hi); it is empty only when both are.
+func hull(lo1, hi1, lo2, hi2 int) (int, int) {
+	switch {
+	case lo1 > hi1:
+		return lo2, hi2
+	case lo2 > hi2:
+		return lo1, hi1
+	}
+	return min(lo1, lo2), max(hi1, hi2)
+}
+
+// union returns the hull of two written ranges shifted by d (empty when
 // both are).
 func union(a, b *Wavefront, d int) (lo, hi int) {
-	switch {
-	case a.Lo > a.Hi && b.Lo > b.Hi:
-		return 1, 0
-	case a.Lo > a.Hi:
-		return b.Lo + d, b.Hi + d
-	case b.Lo > b.Hi:
-		return a.Lo + d, a.Hi + d
-	}
-	return min(a.Lo, b.Lo) + d, max(a.Hi, b.Hi) + d
+	return hull(a.Lo+d, a.Hi+d, b.Lo+d, b.Hi+d)
 }
 
 // Init stores the initial condition M~(0,0) = 0 (Section 2.3) as score 0
@@ -364,84 +378,70 @@ func (w *Window) Init() *Wavefront {
 // I~(s-e) shifted by +1, D~ the same union with D~(s-e) shifted by -1, and
 // M~ the union of M~(s-x), I~(s) and D~(s), each clamped to the pair's span.
 // The ranges depend only on the penalties, the lengths and k_max, so they
-// equal the hardware RangeTracker's. An empty M~ range means an empty score.
+// equal the hardware RangeTracker's. An empty M~ range means an empty score:
+// Step then claims no slot and returns the shared all-invalid row three
+// times, so the rows the window holds are left as they are.
+//
+// The three components are computed in one pass over M~'s range, which
+// covers both gap ranges. A gap cell outside its own range has two invalid
+// sources and so computes to InvalidCell; writing it keeps the row
+// invariant, and the row still publishes its own range as Lo..Hi.
 func (w *Window) Step(s int, p align.Penalties) (iw, dw, mw *Wavefront) {
 	x, oe, e := p.Mismatch, p.GapOpen+p.GapExtend, p.GapExtend
 	srcMx, srcMoe := w.Get(CompM, s-x), w.Get(CompM, s-oe)
 	srcIe, srcDe := w.Get(CompI, s-e), w.Get(CompD, s-e)
+	iLo, iHi := w.clamp(union(srcMoe, srcIe, +1))
+	dLo, dHi := w.clamp(union(srcMoe, srcDe, -1))
+	lo, hi := hull(srcMx.Lo, srcMx.Hi, iLo, iHi)
+	lo, hi = w.clamp(hull(lo, hi, dLo, dHi))
+	if lo > hi {
+		return &w.blank, &w.blank, &w.blank
+	}
 	iw, dw, mw = w.claim(CompI, s), w.claim(CompD, s), w.claim(CompM, s)
-	n, m, base := w.n, w.m, w.base
-
-	// I~(s) = max(M~(s-o-e, k-1), I~(s-e, k-1)) + 1; open wins a tie.
-	lo, hi := union(srcMoe, srcIe, +1)
-	lo, hi = w.clamp(lo, hi)
-	iw.retarget(lo, hi)
-	if lo <= hi {
-		dst := iw.written()
-		open := srcMoe.cells[lo-1+base:][:len(dst)]
-		ext := srcIe.cells[lo-1+base:][:len(dst)]
-		for idx := range dst {
-			ov, xv := open[idx]>>originBits, ext[idx]>>originBits
-			v := max(ov, xv) + 1
-			c := v<<originBits | int32(GTagExt)
-			if ov >= xv {
-				c = v << originBits // | GTagOpen
-			}
-			dst[idx] = trim(c, v, int32(lo+idx), n, m)
-		}
-	}
-
-	// D~(s) = max(M~(s-o-e, k+1), D~(s-e, k+1)); open wins a tie.
-	lo, hi = union(srcMoe, srcDe, -1)
-	lo, hi = w.clamp(lo, hi)
-	dw.retarget(lo, hi)
-	if lo <= hi {
-		dst := dw.written()
-		open := srcMoe.cells[lo+1+base:][:len(dst)]
-		ext := srcDe.cells[lo+1+base:][:len(dst)]
-		for idx := range dst {
-			ov, xv := open[idx]>>originBits, ext[idx]>>originBits
-			v := max(ov, xv)
-			c := v<<originBits | int32(GTagExt)
-			if ov >= xv {
-				c = v << originBits // | GTagOpen
-			}
-			dst[idx] = trim(c, v, int32(lo+idx), n, m)
-		}
-	}
-
-	// M~(s) = max(M~(s-x, k) + 1, I~(s, k), D~(s, k)); ties go to
-	// substitution, then insertion, then deletion.
-	lo, hi = union(srcMx, iw, 0)
-	if dw.Lo <= dw.Hi {
-		if lo > hi {
-			lo, hi = dw.Lo, dw.Hi
-		} else {
-			lo, hi = min(lo, dw.Lo), max(hi, dw.Hi)
-		}
-	}
-	lo, hi = w.clamp(lo, hi)
+	iw.retargetOver(iLo, iHi, lo, hi)
+	dw.retargetOver(dLo, dHi, lo, hi)
 	mw.retarget(lo, hi)
-	if lo <= hi {
-		dst := mw.written()
-		sub := srcMx.cells[lo+base:][:len(dst)]
-		ins := iw.cells[lo+base:][:len(dst)]
-		del := dw.cells[lo+base:][:len(dst)]
-		for idx := range dst {
-			ic, dc := ins[idx], del[idx]
-			sv, iv, dv := sub[idx]>>originBits+1, ic>>originBits, dc>>originBits
-			v := max(sv, iv, dv)
-			// The first of substitution, insertion, deletion that reaches
-			// the maximum offset names the origin.
-			c := v<<originBits | int32(MTagDOpen) | dc&originMask
-			if iv == v {
-				c = v<<originBits | int32(MTagIOpen) | ic&originMask
-			}
-			if sv == v {
-				c = v<<originBits | int32(MTagSub)
-			}
-			dst[idx] = trim(c, v, int32(lo+idx), n, m)
+
+	n, m, at, width := w.n, w.m, lo+w.base, hi-lo+1
+	sub := srcMx.cells[at:][:width]
+	openI, extI := srcMoe.cells[at-1:][:width], srcIe.cells[at-1:][:width]
+	openD, extD := srcMoe.cells[at+1:][:width], srcDe.cells[at+1:][:width]
+	ins, del, dst := iw.cells[at:][:width], dw.cells[at:][:width], mw.cells[at:][:width]
+	for idx := range dst {
+		k := int32(lo + idx)
+
+		// I~(s,k) = max(M~(s-o-e, k-1), I~(s-e, k-1)) + 1; open wins a tie.
+		ov, xv := openI[idx]>>originBits, extI[idx]>>originBits
+		iv := max(ov, xv) + 1
+		tag := int32(GTagOpen)
+		if ov < xv {
+			tag = int32(GTagExt)
 		}
+		ic := trim(iv<<originBits|tag, iv, k, n, m)
+
+		// D~(s,k) = max(M~(s-o-e, k+1), D~(s-e, k+1)); open wins a tie.
+		ov, xv = openD[idx]>>originBits, extD[idx]>>originBits
+		dv := max(ov, xv)
+		tag = int32(GTagOpen)
+		if ov < xv {
+			tag = int32(GTagExt)
+		}
+		dc := trim(dv<<originBits|tag, dv, k, n, m)
+		ins[idx], del[idx] = ic, dc
+
+		// M~(s,k) = max(M~(s-x, k) + 1, I~(s, k), D~(s, k)). The first of
+		// substitution, insertion, deletion that reaches the maximum
+		// offset names the origin.
+		sv, iv, dv := sub[idx]>>originBits+1, ic>>originBits, dc>>originBits
+		v := max(sv, iv, dv)
+		tag = int32(MTagDOpen) | dc&originMask
+		if iv == v {
+			tag = int32(MTagIOpen) | ic&originMask
+		}
+		if sv == v {
+			tag = int32(MTagSub)
+		}
+		dst[idx] = trim(v<<originBits|tag, v, k, n, m)
 	}
 	return iw, dw, mw
 }

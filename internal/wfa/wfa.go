@@ -1,7 +1,9 @@
 package wfa
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/align"
 )
@@ -199,30 +201,50 @@ func (al *Aligner) observe(mwf *Wavefront) {
 // extendRow advances every valid cell of w along its diagonal while bases
 // match (the extend() operator of Section 2.3), counting comparator work.
 // It is the software extend step of both the gap-affine and the gap-linear
-// aligner.
+// aligner. Bases are compared eight bytes at a time, as one XOR of two
+// little-endian words whose lowest set bit names the first differing byte,
+// and byte by byte within eight of a sequence end; either way the count is
+// of equal bytes. The counters are kept in locals and added to st once.
 func extendRow(a, b []byte, w *Wavefront, st *Stats) {
 	n, m := int32(len(a)), int32(len(b))
+	var extended, compared, blocks int64
 	cells := w.written()
 	for idx, c := range cells {
 		if c < 0 {
 			continue
 		}
-		st.CellsExtended++
+		extended++
 		j := c >> originBits
 		i := j - int32(w.Lo+idx)
 		start := j
-		for i < n && j < m && a[i] == b[j] {
+		for i < n && j < m {
+			if i+8 <= n && j+8 <= m {
+				x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[j:])
+				if x == 0 {
+					i, j = i+8, j+8
+					continue
+				}
+				d := int32(bits.TrailingZeros64(x) / 8)
+				i, j = i+d, j+d
+				break
+			}
+			if a[i] != b[j] {
+				break
+			}
 			i++
 			j++
 		}
-		compared := j - start
+		run := j - start
 		if i < n && j < m {
-			compared++ // the failing comparison
+			run++ // the failing comparison
 		}
-		st.BasesCompared += int64(compared)
+		compared += int64(run)
 		// Hardware/vector comparator: 16 bases per block, at least one
 		// block per extended cell (Section 4.3.2).
-		st.Blocks16 += int64(compared/16) + 1
+		blocks += int64(run/16) + 1
 		cells[idx] = j<<originBits | c&originMask
 	}
+	st.CellsExtended += extended
+	st.BasesCompared += compared
+	st.Blocks16 += blocks
 }

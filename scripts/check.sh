@@ -116,6 +116,19 @@ fi
 echo "== /align request fuzzing (10s) =="
 go test -run '^$' -fuzz FuzzAlignRequest -fuzztime 10s ./internal/serve/
 
+# FuzzWFAvsSWG (internal/wfa/fuzz_test.go) fuzzes the software WFA against the
+# Smith-Waterman-Gotoh DP under arbitrary valid penalties and k_max clamps on
+# top of its seed corpus (testdata/fuzz/FuzzWFAvsSWG): equal scores (banded
+# under a clamp), failure exactly when the clamp puts the answer out of
+# reach, and every CIGAR valid and rescoring to the score.
+echo "== WFA vs SWG differential fuzzing (10s) =="
+go test -run '^$' -fuzz FuzzWFAvsSWG -fuzztime 10s ./internal/wfa/
+
+# One iteration of each engine micro-benchmark, so they keep building and
+# running; timings are not gated.
+echo "== engine micro-benchmarks (one iteration each) =="
+go test -run '^$' -bench 'WFAScore|MachineAlign|ExtendUnit' -benchtime 1x . > /dev/null
+
 # BENCH_8.json is the committed capacity model for the serving layer. The
 # calibration and the queueing model are deterministic, so a diff means the
 # service's cost model really changed and the snapshot must be regenerated
